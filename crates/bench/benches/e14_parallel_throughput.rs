@@ -1,8 +1,8 @@
-//! E14 — parallel invocation throughput on the sharded shared runtime.
+//! E14 — parallel invocation throughput on the sharded runtime.
 //!
 //! Each sample executes a fixed batch of `TOTAL_OPS` script invocations,
 //! split across 1/2/4/8 worker threads over one
-//! [`mrom_core::SharedRuntime`]:
+//! [`mrom_core::Runtime`]:
 //!
 //! * **disjoint** — every worker hammers its own object (the scaling
 //!   case the sharded checkout protocol is built for), with the `bump`
@@ -20,9 +20,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::thread;
 
-use mrom_core::{
-    DataItem, Method, MethodBody, MromError, MromObject, ObjectBuilder, SharedRuntime,
-};
+use mrom_core::{DataItem, Method, MethodBody, MromError, MromObject, ObjectBuilder, Runtime};
 use mrom_value::{NodeId, ObjectId, Value};
 
 /// Invocations per sample, constant across worker counts.
@@ -48,9 +46,9 @@ fn counter(id: ObjectId, extensible: bool) -> MromObject {
     }
 }
 
-/// A shared runtime hosting `n` counters.
-fn fixture(n: usize, extensible: bool) -> (SharedRuntime, Vec<ObjectId>) {
-    let shared = SharedRuntime::new(NodeId(0xe14));
+/// A runtime hosting `n` counters.
+fn fixture(n: usize, extensible: bool) -> (Runtime, Vec<ObjectId>) {
+    let shared = Runtime::new(NodeId(0xe14));
     let ids = (0..n)
         .map(|_| {
             shared
@@ -62,7 +60,7 @@ fn fixture(n: usize, extensible: bool) -> (SharedRuntime, Vec<ObjectId>) {
 }
 
 /// One batch: `workers` threads, each bumping its own object.
-fn run_disjoint(shared: &SharedRuntime, ids: &[ObjectId], workers: usize) {
+fn run_disjoint(shared: &Runtime, ids: &[ObjectId], workers: usize) {
     let per_worker = TOTAL_OPS / workers;
     thread::scope(|s| {
         for id in ids.iter().take(workers) {
@@ -81,7 +79,7 @@ fn run_disjoint(shared: &SharedRuntime, ids: &[ObjectId], workers: usize) {
 
 /// One batch: `workers` threads all bumping one object, retrying through
 /// `ObjectBusy` until each lands its share.
-fn run_contended(shared: &SharedRuntime, id: ObjectId, workers: usize) {
+fn run_contended(shared: &Runtime, id: ObjectId, workers: usize) {
     let per_worker = TOTAL_OPS / workers;
     thread::scope(|s| {
         for _ in 0..workers {

@@ -6,17 +6,15 @@
 //! the same programs under both engines: loop-heavy numeric work (where
 //! tree-walking overhead dominates), a straight-line body (dispatch cost
 //! floor), and full `invoke` round-trips whose `self.get`/`self.set`
-//! traffic exercises the inline data caches. Compilation itself is also
-//! priced, since admission pays it once per admitted body.
+//! traffic exercises the inline data caches. Production `invoke` runs
+//! only the VM, so the round-trip has no interpreter arm. Compilation
+//! itself is also priced, since admission pays it once per admitted body.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use mrom_bench::bench_ids;
-use mrom_core::{
-    invoke, set_script_engine, DataItem, Method, MethodBody, MromObject, NoWorld, ObjectBuilder,
-    ScriptEngine,
-};
+use mrom_core::{invoke, DataItem, Method, MethodBody, MromObject, NoWorld, ObjectBuilder};
 use mrom_script::{Evaluator, NullHost, Program, Vm};
 use mrom_value::Value;
 
@@ -98,29 +96,24 @@ fn bench_script_vm(c: &mut Criterion) {
     });
 
     // Full invoke round-trip: Lookup → Match → Apply with the body's
-    // `self.get`/`self.set` loop hitting (VM) or bypassing (interp) the
-    // inline data caches. Fresh object per iteration so `count` growth
-    // never changes the arithmetic between engines.
-    for (label, engine) in [("interp", ScriptEngine::Interp), ("vm", ScriptEngine::Vm)] {
-        group.bench_function(BenchmarkId::new("invoke_ic_loop100", label), |b| {
-            set_script_engine(engine);
-            let mut ids = bench_ids();
-            let caller = ids.next_id();
-            b.iter(|| {
-                let mut obj = counter_object();
-                let out = invoke(
-                    &mut obj,
-                    &mut NoWorld,
-                    caller,
-                    "tally",
-                    black_box(&[Value::Int(100)]),
-                )
-                .expect("runs");
-                black_box(out)
-            });
+    // `self.get`/`self.set` loop hitting the inline data caches. Fresh
+    // object per iteration so `count` growth never changes the arithmetic.
+    group.bench_function(BenchmarkId::new("invoke_ic_loop100", "vm"), |b| {
+        let mut ids = bench_ids();
+        let caller = ids.next_id();
+        b.iter(|| {
+            let mut obj = counter_object();
+            let out = invoke(
+                &mut obj,
+                &mut NoWorld,
+                caller,
+                "tally",
+                black_box(&[Value::Int(100)]),
+            )
+            .expect("runs");
+            black_box(out)
         });
-        set_script_engine(ScriptEngine::Vm);
-    }
+    });
 
     group.finish();
 }

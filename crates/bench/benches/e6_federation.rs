@@ -11,7 +11,7 @@ use std::hint::black_box;
 
 use hadas::{AmbassadorSpec, Federation};
 use mrom_bench::{bench_ids, cargo_names, cargo_object, cargo_object_as};
-use mrom_core::MromObject;
+use mrom_core::{AdmissionPolicy, MromObject};
 use mrom_net::{LinkConfig, NetworkConfig};
 use mrom_value::NodeId;
 
@@ -81,7 +81,9 @@ fn bench_federation(c: &mut Criterion) {
         });
         let image = obj.migration_image(me).unwrap();
         group.bench_with_input(BenchmarkId::new("image_decode", items), &items, |b, _| {
-            b.iter(|| black_box(MromObject::from_image(&image).unwrap()));
+            b.iter(|| {
+                black_box(MromObject::from_image_with_policy(&image, AdmissionPolicy::Off).unwrap())
+            });
         });
     }
     group.finish();

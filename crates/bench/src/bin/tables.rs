@@ -10,9 +10,7 @@ use hadas::scenarios::{deploy_employee_db, push_maintenance_notice, star_federat
 use hadas::{AmbassadorSpec, Federation, UpdateOp};
 use mrom_baselines::{capability_matrix, StaticCounter};
 use mrom_bench::*;
-use mrom_core::{
-    invoke, set_script_engine, DataItem, Method, MethodBody, NoWorld, ObjectBuilder, ScriptEngine,
-};
+use mrom_core::{invoke, DataItem, Method, MethodBody, NoWorld, ObjectBuilder};
 use mrom_net::{LinkConfig, NetworkConfig, SimTime};
 use mrom_persist::{Depot, FileStore, MemStore};
 use mrom_script::{Evaluator, NullHost, Program, Vm};
@@ -638,7 +636,7 @@ fn e15_script_vm() {
     header(
         "E15",
         "register bytecode VM for script bodies (PR 6)",
-        "admitted bodies compile once to register bytecode; the tree-walker stays selectable and equivalent",
+        "admitted bodies compile once to register bytecode; the tree-walker stays as the differential-test oracle",
     );
     println!(
         "  {:<36} {:>10} {:>10} {:>8}",
@@ -700,30 +698,19 @@ fn e15_script_vm() {
                               i = i + 1; \
                           } \
                           return self.get(\"count\");";
-    let mut by_engine = [0.0f64; 2];
-    for (slot, engine) in [ScriptEngine::Interp, ScriptEngine::Vm]
-        .into_iter()
-        .enumerate()
-    {
-        set_script_engine(engine);
+    // Production `invoke` runs only the VM, so this row has no
+    // interpreter arm.
+    let caller = bench_ids().next_id();
+    let ic_loop = time_ns(SLOW * 10, || {
         let mut ids = bench_ids();
-        let caller = ids.next_id();
-        by_engine[slot] = time_ns(SLOW * 10, || {
-            let mut ids = bench_ids();
-            let mut obj = ObjectBuilder::new(ids.next_id())
-                .class("e15-counter")
-                .fixed_data("count", DataItem::public(Value::Int(0)))
-                .fixed_method("tally", Method::public(MethodBody::script(IC_SRC).unwrap()))
-                .build();
-            invoke(&mut obj, &mut NoWorld, caller, "tally", &[Value::Int(100)]).unwrap();
-        });
-    }
-    set_script_engine(ScriptEngine::Vm);
-    speedup_row(
-        "invoke: 100x self.get/self.set loop",
-        by_engine[0],
-        by_engine[1],
-    );
+        let mut obj = ObjectBuilder::new(ids.next_id())
+            .class("e15-counter")
+            .fixed_data("count", DataItem::public(Value::Int(0)))
+            .fixed_method("tally", Method::public(MethodBody::script(IC_SRC).unwrap()))
+            .build();
+        invoke(&mut obj, &mut NoWorld, caller, "tally", &[Value::Int(100)]).unwrap();
+    });
+    row("invoke: 100x self.get/self.set loop (VM)", fmt_ns(ic_loop));
     // What admission pays once per admitted body.
     row(
         "admission: parse only (loop body)",

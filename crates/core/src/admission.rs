@@ -28,13 +28,13 @@
 //! An [`AdmissionPolicy`] decides what happens at each boundary:
 //! `Off` skips analysis entirely (byte-for-byte today's behaviour),
 //! `Warn` pays the analysis cost but always admits, and `Strict` rejects
-//! error-severity findings with [`MromError::AdmissionRejected`]. The
-//! process-wide default policy (used by [`MromObject::from_image`],
-//! `add_method`, and `set_method`) starts `Off` and is changed with
-//! [`set_default_admission_policy`]; migration boundaries also have
-//! explicit `*_with_policy` entry points.
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! error-severity findings with [`MromError::AdmissionRejected`]. There
+//! is no process-wide policy: the admitting host names its policy at every
+//! boundary — image decoding ([`MromObject::from_image_with_policy`]),
+//! structural mutation ([`MromObject::add_method_with_policy`],
+//! [`MromObject::set_method_with_policy`]), and meta-operations reached
+//! through `invoke`, which read the hosting node's
+//! [`InvokeLimits::admission`](crate::InvokeLimits::admission).
 
 use mrom_script::analyze::{
     analyze_with_budget, Diagnostic, DiagnosticKind, HostManifest, ResourceBudget,
@@ -59,40 +59,6 @@ pub enum AdmissionPolicy {
     /// Reject error-severity findings with
     /// [`MromError::AdmissionRejected`]. Warnings never block.
     Strict,
-}
-
-impl AdmissionPolicy {
-    fn from_u8(v: u8) -> AdmissionPolicy {
-        match v {
-            1 => AdmissionPolicy::Warn,
-            2 => AdmissionPolicy::Strict,
-            _ => AdmissionPolicy::Off,
-        }
-    }
-
-    fn as_u8(self) -> u8 {
-        match self {
-            AdmissionPolicy::Off => 0,
-            AdmissionPolicy::Warn => 1,
-            AdmissionPolicy::Strict => 2,
-        }
-    }
-}
-
-/// Process-wide default policy; `Off` until configured.
-static DEFAULT_POLICY: AtomicU8 = AtomicU8::new(0);
-
-/// The process-wide default [`AdmissionPolicy`], consulted by
-/// [`MromObject::from_image`], [`MromObject::from_image_value`],
-/// `add_method`, and `set_method`.
-pub fn default_admission_policy() -> AdmissionPolicy {
-    AdmissionPolicy::from_u8(DEFAULT_POLICY.load(Ordering::Relaxed))
-}
-
-/// Sets the process-wide default [`AdmissionPolicy`], returning the
-/// previous one.
-pub fn set_default_admission_policy(policy: AdmissionPolicy) -> AdmissionPolicy {
-    AdmissionPolicy::from_u8(DEFAULT_POLICY.swap(policy.as_u8(), Ordering::Relaxed))
 }
 
 /// Host-surface names whose implementation goes through the *object* meta

@@ -133,7 +133,7 @@ impl ClassSpec {
         self.instantiate_as(ids.next_id(), origin)
     }
 
-    /// Stamps an instance with a pre-minted identity (the shared-runtime
+    /// Stamps an instance with a pre-minted identity (the runtime
     /// path, where ids come from an [`mrom_value::AtomicIdGenerator`]).
     pub fn instantiate_as(&self, id: ObjectId, origin: Option<ObjectId>) -> MromObject {
         let mut b = ObjectBuilder::new(id)

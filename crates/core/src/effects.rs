@@ -101,7 +101,7 @@ pub fn object_effects(obj: &MromObject) -> BTreeMap<String, EffectSignature> {
 /// `true` when two effect signatures provably cannot interfere: neither
 /// is structural, dynamic, or opaque, and neither writes anything the
 /// other reads or writes. Two invocations with disjoint signatures could
-/// in principle have run concurrently — the shared runtime classifies
+/// in principle have run concurrently — the runtime classifies
 /// checkout collisions with this predicate to measure how much
 /// parallelism its object-granular locking leaves on the table.
 #[must_use]

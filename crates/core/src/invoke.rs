@@ -31,64 +31,17 @@
 //! value at its entry, and cross-object nesting is bounded by
 //! [`InvokeLimits::max_call_depth`].
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-use mrom_script::{Evaluator, HostContext, ScriptError, Vm};
+use mrom_script::{HostContext, ScriptError, Vm};
 use mrom_value::{ObjectId, Value};
 
+use crate::admission::AdmissionPolicy;
 use crate::error::MromError;
 use crate::method::{MetaOp, Method, MethodBody};
 use crate::object::MromObject;
 
-/// Which engine executes mobile (script) method bodies.
-///
-/// Both engines are observationally identical — same results, same
-/// errors, same fuel accounting, same host-call sequences — so this is a
-/// pure performance switch. The default is [`ScriptEngine::Vm`]; set the
-/// `MROM_SCRIPT_ENGINE` environment variable to `interp` (or call
-/// [`set_script_engine`]) to fall back to the tree-walking interpreter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScriptEngine {
-    /// The original fuel-metered AST-walking interpreter.
-    Interp,
-    /// The register-bytecode VM, running bodies compiled at admission
-    /// time (or lazily on first invocation) and cached on the `Program`.
-    Vm,
-}
-
-/// 0 = undecided, 1 = interpreter, 2 = VM.
-static SCRIPT_ENGINE: AtomicU8 = AtomicU8::new(0);
-
-/// The engine currently executing script bodies. Resolved once from
-/// `MROM_SCRIPT_ENGINE` (`interp`/`vm`) on first use; defaults to
-/// [`ScriptEngine::Vm`].
-pub fn script_engine() -> ScriptEngine {
-    match SCRIPT_ENGINE.load(Ordering::Relaxed) {
-        1 => ScriptEngine::Interp,
-        2 => ScriptEngine::Vm,
-        _ => {
-            let engine = match std::env::var("MROM_SCRIPT_ENGINE").as_deref() {
-                Ok("interp") | Ok("interpreter") => ScriptEngine::Interp,
-                _ => ScriptEngine::Vm,
-            };
-            set_script_engine(engine);
-            engine
-        }
-    }
-}
-
-/// Selects the script engine for the whole process, overriding the
-/// environment. Safe to call at any time; running invocations finish on
-/// the engine they started with.
-pub fn set_script_engine(engine: ScriptEngine) {
-    let code = match engine {
-        ScriptEngine::Interp => 1,
-        ScriptEngine::Vm => 2,
-    };
-    SCRIPT_ENGINE.store(code, Ordering::Relaxed);
-}
-
-/// Resource bounds applied to an invocation and everything nested in it.
+/// The per-node invocation configuration: resource bounds applied to an
+/// invocation and everything nested in it, plus the admission policy its
+/// structural meta-operations answer to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InvokeLimits {
     /// Script fuel ledger shared by the whole invocation tree.
@@ -97,6 +50,10 @@ pub struct InvokeLimits {
     pub max_tower: usize,
     /// Maximum nesting of method application (tower levels + self-calls).
     pub max_call_depth: usize,
+    /// Policy that `addMethod`/`setMethod` meta-operations apply to the
+    /// code they install: the hosting node decides what foreign code it
+    /// accepts.
+    pub admission: AdmissionPolicy,
 }
 
 impl Default for InvokeLimits {
@@ -105,6 +62,7 @@ impl Default for InvokeLimits {
             fuel: mrom_script::DEFAULT_FUEL,
             max_tower: 8,
             max_call_depth: 32,
+            admission: AdmissionPolicy::Off,
         }
     }
 }
@@ -619,26 +577,7 @@ fn run_body(
                 ic_hits: 0,
                 ic_misses: 0,
             };
-            let (outcome, used, host_calls) = match script_engine() {
-                ScriptEngine::Interp => {
-                    let mut evaluator = Evaluator::with_fuel(&mut host, entry_budget);
-                    let outcome = evaluator.run(program, args);
-                    let used = evaluator.fuel_used();
-                    let host_calls = evaluator.host_calls();
-                    (outcome, used, host_calls)
-                }
-                ScriptEngine::Vm => {
-                    // Admission normally precompiles; `compiled()` is then
-                    // a cache read. Bodies that skipped admission compile
-                    // here once and reuse the cache thereafter.
-                    let compiled = program.compiled();
-                    let mut vm = Vm::with_fuel(&mut host, entry_budget);
-                    let outcome = vm.run(&compiled, args);
-                    let used = vm.fuel_used();
-                    let host_calls = vm.host_calls();
-                    (outcome, used, host_calls)
-                }
-            };
+            let (outcome, used, host_calls) = run_script(program, &mut host, entry_budget, args);
             // Nested dispatches already deducted their share from the
             // ledger during the run; deduct the evaluator's own steps now.
             *host.fuel = host.fuel.saturating_sub(used);
@@ -661,6 +600,28 @@ fn run_body(
             limits,
         ),
     }
+}
+
+/// Runs one script body on the register VM, returning its outcome, the
+/// fuel it used, and its host-call count. Admission normally precompiles,
+/// so `compiled()` is a cache read; bodies that skipped admission compile
+/// here once and reuse the cache thereafter.
+fn run_script(
+    program: &mrom_script::Program,
+    host: &mut ScriptHost<'_>,
+    budget: u64,
+    args: &[Value],
+) -> (Result<Value, ScriptError>, u64, u64) {
+    #[cfg(test)]
+    if differential::oracle_selected() {
+        let mut evaluator = mrom_script::Evaluator::with_fuel(host, budget);
+        let outcome = evaluator.run(program, args);
+        return (outcome, evaluator.fuel_used(), evaluator.host_calls());
+    }
+    let compiled = program.compiled();
+    let mut vm = Vm::with_fuel(host, budget);
+    let outcome = vm.run(&compiled, args);
+    (outcome, vm.fuel_used(), vm.host_calls())
 }
 
 // ---------------------------------------------------------------------------
@@ -741,14 +702,14 @@ fn perform_meta(
         MetaOp::SetMethod => {
             want_arity(op, args, &[2])?;
             let name = want_name(op, args, 0)?;
-            object.set_method(principal, name, &args[1])?;
+            object.set_method_with_policy(principal, name, &args[1], limits.admission)?;
             Ok(Value::Null)
         }
         MetaOp::AddMethod => {
             want_arity(op, args, &[2])?;
             let name = want_name(op, args, 0)?;
             let method = method_from_arg(&args[1])?;
-            object.add_method(principal, name, method)?;
+            object.add_method_with_policy(principal, name, method, limits.admission)?;
             Ok(Value::Null)
         }
         MetaOp::DeleteMethod => {
@@ -1822,5 +1783,239 @@ mod tests {
             invoke(&mut obj, &mut world, caller, "bump", &[]),
             Err(MromError::PreConditionFailed { .. })
         ));
+    }
+}
+
+#[cfg(test)]
+mod differential {
+    //! Engine-differential battery at the *object* level: the same method
+    //! invocation on identically-built objects must produce byte-identical
+    //! results, errors, and post-state under the tree-walking interpreter and
+    //! the bytecode VM — including at every fuel-exhaustion point.
+    //!
+    //! Production `invoke` runs only the VM. Test builds of this crate keep
+    //! the tree-walking [`mrom_script::Evaluator`] as the reference oracle:
+    //! a per-thread flag, set by [`Engine::run`], routes script bodies to it.
+    //! Each test runs on its own thread, so no selection leaks between tests.
+
+    use std::cell::Cell;
+
+    use mrom_value::{IdGenerator, NodeId, Value};
+
+    use crate::{
+        invoke, invoke_with_limits, Acl, DataItem, InvokeLimits, Method, MethodBody, MromError,
+        MromObject, NoWorld, ObjectBuilder,
+    };
+
+    thread_local! {
+        static ORACLE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Whether script bodies on this thread run on the interpreter oracle.
+    pub(super) fn oracle_selected() -> bool {
+        ORACLE.with(Cell::get)
+    }
+
+    /// The two sides of the battery.
+    #[derive(Debug, Clone, Copy)]
+    enum Engine {
+        /// The tree-walking interpreter (the oracle).
+        Interp,
+        /// The register VM (production).
+        Vm,
+    }
+
+    impl Engine {
+        /// Runs `f` with this thread's script bodies on this engine.
+        fn run<R>(self, f: impl FnOnce() -> R) -> R {
+            ORACLE.with(|o| o.set(matches!(self, Engine::Interp)));
+            let out = f();
+            ORACLE.with(|o| o.set(false));
+            out
+        }
+    }
+
+    fn ids() -> IdGenerator {
+        IdGenerator::new(NodeId(42))
+    }
+
+    /// A specimen with fixed + extensible state and a spread of method shapes.
+    fn specimen(gen: &mut IdGenerator) -> MromObject {
+        ObjectBuilder::new(gen.next_id())
+            .class("diff-specimen")
+            .fixed_data("count", DataItem::public(Value::Int(0)))
+            .fixed_data("label", DataItem::public(Value::from("spec")))
+            .fixed_data(
+                "secret",
+                DataItem::new(Value::Int(7)).with_read_acl(Acl::Nobody),
+            )
+            .fixed_method(
+                "bump",
+                Method::public(
+                    MethodBody::script(
+                        "self.set(\"count\", self.get(\"count\") + 1); return true;",
+                    )
+                    .unwrap(),
+                ),
+            )
+            .fixed_method(
+                "spin",
+                Method::public(
+                    MethodBody::script(
+                        "param n; let i = 0; while (i < n) { \
+                         self.set(\"count\", self.get(\"count\") + 1); i = i + 1; } \
+                         return self.get(\"count\");",
+                    )
+                    .unwrap(),
+                ),
+            )
+            .fixed_method(
+                "describe_count",
+                Method::public(
+                    MethodBody::script("return self.invoke(\"getDataItem\", [\"count\"]);")
+                        .unwrap(),
+                ),
+            )
+            .build()
+    }
+
+    /// One observation of a call: its outcome plus the object's full post-state
+    /// (captured as the canonical migration image, so *any* state divergence —
+    /// data values, methods, generation-visible structure — shows up).
+    fn observe(
+        engine: Engine,
+        method: &str,
+        args: &[Value],
+        fuel: u64,
+        extra: impl Fn(&mut MromObject),
+    ) -> (Result<Value, MromError>, Vec<u8>) {
+        engine.run(|| {
+            let mut gen = ids();
+            let mut obj = specimen(&mut gen);
+            extra(&mut obj);
+            let caller = gen.next_id();
+            let mut world = NoWorld;
+            let limits = InvokeLimits {
+                fuel,
+                ..InvokeLimits::default()
+            };
+            let out = invoke_with_limits(&mut obj, &mut world, caller, method, args, &limits);
+            let me = obj.id();
+            let image = obj
+                .migration_image(me)
+                .expect("self can always image itself");
+            (out, image)
+        })
+    }
+
+    /// Asserts both engines agree on outcome and post-state for one call shape,
+    /// at a generous budget and across a fuel sweep up to that call's real cost.
+    fn agree(method: &str, args: &[Value], extra: impl Fn(&mut MromObject) + Copy) {
+        let generous = 200_000;
+        let (out_i, img_i) = observe(Engine::Interp, method, args, generous, extra);
+        let (out_v, img_v) = observe(Engine::Vm, method, args, generous, extra);
+        assert_eq!(out_i, out_v, "[{method}] outcome drift at full budget");
+        assert_eq!(img_i, img_v, "[{method}] post-state drift at full budget");
+
+        // Exhaustion sweep: sampled budgets below the generous one must fail
+        // (or succeed) identically, with identical partial side effects.
+        for fuel in (0..400).step_by(7).chain([500, 1000, 5000, 20_000]) {
+            let (a, ia) = observe(Engine::Interp, method, args, fuel, extra);
+            let (b, ib) = observe(Engine::Vm, method, args, fuel, extra);
+            assert_eq!(a, b, "[{method}] outcome drift at fuel {fuel}");
+            assert_eq!(ia, ib, "[{method}] post-state drift at fuel {fuel}");
+        }
+    }
+
+    fn add(obj: &mut MromObject, name: &str, src: &str) {
+        let me = obj.id();
+        obj.add_method(me, name, Method::public(MethodBody::script(src).unwrap()))
+            .unwrap();
+    }
+
+    #[test]
+    fn clean_methods_agree() {
+        agree("bump", &[], |_| {});
+        agree("spin", &[Value::Int(25)], |_| {});
+        agree("describe_count", &[], |_| {});
+    }
+
+    #[test]
+    fn defect_corpus_bodies_agree() {
+        // Runtime-failing bodies from the admission defect corpus: both
+        // engines must surface the identical error with identical partial
+        // effects on the object.
+        let corpus: &[(&str, &str)] = &[
+            ("ghost", "return ghost;"),
+            ("escaped", "if (true) { let x = 1; } return x;"),
+            ("absent", "return self.get(\"absent\");"),
+            ("vanished", "return self.invoke(\"vanished\", []);"),
+            ("locked", "return self.get(\"secret\");"),
+            ("divzero", "let d = 0; return 1 / d;"),
+            (
+                "hot",
+                "let s = \"\"; while (true) { s = s + \"x\"; } return s;",
+            ),
+            (
+                "mutate_then_fail",
+                "self.set(\"count\", 41); self.set(\"count\", self.get(\"count\") + 1); \
+                 return self.get(\"missing\");",
+            ),
+        ];
+        for (name, src) in corpus {
+            agree(name, &[], |obj| add(obj, name, src));
+        }
+    }
+
+    #[test]
+    fn ic_sites_survive_structural_mutation() {
+        // A body that caches `self.get("count")` sites, then mutates object
+        // structure (extensible adds/deletes bump the generation) and reads
+        // again — the cache must revalidate, never serve stale values.
+        let src = "let a = self.get(\"count\"); \
+                   self.add_data_item(\"tmp\", a + 1); \
+                   self.set(\"count\", self.get(\"count\") + 10); \
+                   self.delete_data_item(\"tmp\"); \
+                   return [self.get(\"count\"), a];";
+        agree("churn", &[], |obj| add(obj, "churn", src));
+    }
+
+    #[test]
+    fn self_modifying_methods_agree() {
+        // addMethod installs a fresh Program (fresh, empty bytecode cache);
+        // invoking it afterwards must behave identically across engines.
+        let src = "self.add_method(\"doubler\", \"param x; return x * 2;\"); \
+                   return self.invoke(\"doubler\", [21]);";
+        agree("grow", &[], |obj| add(obj, "grow", src));
+
+        // setMethod replaces an existing body: the old compiled form must not
+        // be reachable from the new Program.
+        let replace = "self.set_method(\"helper\", \"return \\\"new\\\";\"); \
+                       return self.invoke(\"helper\", []);";
+        agree("swap", &[], |obj| {
+            add(obj, "helper", "return \"old\";");
+            add(obj, "swap", replace);
+        });
+    }
+
+    #[test]
+    fn nested_invocations_share_the_fuel_ledger_identically() {
+        // spin(8) through the meta `invoke` — the nested call draws on the
+        // same ledger, so exhaustion points depend on cross-call accounting.
+        let src = "return self.invoke(\"spin\", [8]) + self.invoke(\"spin\", [4]);";
+        agree("nested", &[], |obj| add(obj, "nested", src));
+    }
+
+    #[test]
+    fn oracle_arm_is_selectable_and_equivalent() {
+        // Plain `invoke` (default limits) on the oracle — selecting it must
+        // not change behaviour.
+        let out = Engine::Interp.run(|| {
+            let mut gen = ids();
+            let mut obj = specimen(&mut gen);
+            let caller = gen.next_id();
+            invoke(&mut obj, &mut NoWorld, caller, "spin", &[Value::Int(5)])
+        });
+        assert_eq!(out, Ok(Value::Int(5)));
     }
 }

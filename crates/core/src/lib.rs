@@ -79,18 +79,14 @@ mod migrate;
 mod object;
 mod runtime;
 mod security;
-mod shared;
 mod stats;
 
-pub use admission::{default_admission_policy, set_default_admission_policy, AdmissionPolicy};
+pub use admission::AdmissionPolicy;
 pub use class::{ClassRegistry, ClassSpec};
 pub use container::{ExtensibleContainer, FixedContainer, Section};
 pub use effects::{effects_value, object_effects, signatures_disjoint};
 pub use error::MromError;
-pub use invoke::{
-    invoke, invoke_with_limits, script_engine, set_script_engine, CallEnv, InvokeLimits, NoWorld,
-    ScriptEngine, WorldHook,
-};
+pub use invoke::{invoke, invoke_with_limits, CallEnv, InvokeLimits, NoWorld, WorldHook};
 pub use item::DataItem;
 pub use method::{MetaOp, Method, MethodBody, NativeFn};
 pub use migrate::IMAGE_FORMAT;
@@ -100,9 +96,8 @@ pub use mrom_script::analyze::{
 };
 pub use mrom_script::{EffectSignature, LocalEffects};
 pub use object::{MromObject, ObjectBuilder};
-pub use runtime::Runtime;
+pub use runtime::{ClassesGuard, ObjectGuard, PoisonCause, Runtime, SHARD_COUNT};
 pub use security::{Acl, TypeConstraint};
-pub use shared::{ClassesGuard, ObjectGuard, PoisonCause, SharedRuntime, SHARD_COUNT};
 pub use stats::{stats_object, stats_value};
 
 /// Crate-local result alias over [`MromError`].

@@ -99,21 +99,8 @@ impl MromObject {
         ]))
     }
 
-    /// Reconstructs an object from image bytes under the process-wide
-    /// default [`AdmissionPolicy`].
-    ///
-    /// # Errors
-    ///
-    /// [`MromError::BadImage`] for framing/validation failures;
-    /// [`MromError::AdmissionRejected`] under a strict admission policy.
-    ///
-    /// [`AdmissionPolicy`]: crate::AdmissionPolicy
-    pub fn from_image(bytes: &[u8]) -> Result<MromObject, MromError> {
-        MromObject::from_image_with_policy(bytes, crate::admission::default_admission_policy())
-    }
-
-    /// Reconstructs an object from image bytes under an explicit
-    /// [`AdmissionPolicy`], overriding the process-wide default.
+    /// Reconstructs an object from image bytes, admitting its code under
+    /// the receiving host's [`AdmissionPolicy`].
     ///
     /// # Errors
     ///
@@ -138,26 +125,13 @@ impl MromObject {
         result
     }
 
-    /// Reconstructs an object from an image [`Value`] tree under the
-    /// process-wide default [`AdmissionPolicy`].
+    /// Reconstructs an object from an image [`Value`] tree, admitting its
+    /// code under the receiving host's [`AdmissionPolicy`].
     ///
     /// # Errors
     ///
     /// [`MromError::BadImage`] when the tree does not follow the image
     /// schema, references unknown fields, or contains invalid descriptors;
-    /// [`MromError::AdmissionRejected`] under a strict admission policy.
-    ///
-    /// [`AdmissionPolicy`]: crate::AdmissionPolicy
-    pub fn from_image_value(v: &Value) -> Result<MromObject, MromError> {
-        MromObject::from_image_value_with_policy(v, crate::admission::default_admission_policy())
-    }
-
-    /// Reconstructs an object from an image [`Value`] tree under an
-    /// explicit [`AdmissionPolicy`].
-    ///
-    /// # Errors
-    ///
-    /// As [`MromObject::from_image_value`], plus
     /// [`MromError::AdmissionRejected`] when `policy` is strict and any
     /// method body fails static admission analysis.
     ///
@@ -316,7 +290,7 @@ mod tests {
         let obj = mobile_object(&mut gen);
         let me = obj.id();
         let bytes = obj.migration_image(me).unwrap();
-        let back = MromObject::from_image(&bytes).unwrap();
+        let back = MromObject::from_image_with_policy(&bytes, crate::AdmissionPolicy::Off).unwrap();
         assert_eq!(back, obj);
     }
 
@@ -330,7 +304,8 @@ mod tests {
         invoke(&mut obj, &mut world, me, "hop", &[]).unwrap();
         invoke(&mut obj, &mut world, me, "hop", &[]).unwrap();
         let bytes = obj.migration_image(me).unwrap();
-        let mut back = MromObject::from_image(&bytes).unwrap();
+        let mut back =
+            MromObject::from_image_with_policy(&bytes, crate::AdmissionPolicy::Off).unwrap();
         // State travelled with the object.
         assert_eq!(
             invoke(&mut back, &mut world, me, "hop", &[]).unwrap(),
@@ -355,7 +330,8 @@ mod tests {
         .unwrap();
         obj.install_meta_invoke(me, "mi").unwrap();
         let bytes = obj.migration_image(me).unwrap();
-        let mut back = MromObject::from_image(&bytes).unwrap();
+        let mut back =
+            MromObject::from_image_with_policy(&bytes, crate::AdmissionPolicy::Off).unwrap();
         assert_eq!(back.tower(), [std::sync::Arc::<str>::from("mi")]);
         let mut world = NoWorld;
         assert_eq!(
@@ -400,14 +376,20 @@ mod tests {
         let bytes = obj.migration_image(me).unwrap();
         // Truncations.
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
-            assert!(MromObject::from_image(&bytes[..cut]).is_err());
+            assert!(
+                MromObject::from_image_with_policy(&bytes[..cut], crate::AdmissionPolicy::Off)
+                    .is_err()
+            );
         }
         // Arbitrary garbage.
-        assert!(MromObject::from_image(b"not an image").is_err());
+        assert!(
+            MromObject::from_image_with_policy(b"not an image", crate::AdmissionPolicy::Off)
+                .is_err()
+        );
         // A valid wire value that is not an image.
         let v = mrom_value::wire::encode(&Value::Int(42));
         assert!(matches!(
-            MromObject::from_image(&v),
+            MromObject::from_image_with_policy(&v, crate::AdmissionPolicy::Off),
             Err(MromError::BadImage(_))
         ));
     }
@@ -423,7 +405,7 @@ mod tests {
             .unwrap()
             .insert("format".into(), Value::from("mrom-object@99"));
         assert!(matches!(
-            MromObject::from_image_value(&image),
+            MromObject::from_image_value_with_policy(&image, crate::AdmissionPolicy::Off),
             Err(MromError::BadImage(detail)) if detail.contains("format")
         ));
         // Tower referencing a missing method.
@@ -433,7 +415,7 @@ mod tests {
             .unwrap()
             .insert("tower".into(), Value::list([Value::from("ghost")]));
         assert!(matches!(
-            MromObject::from_image_value(&image),
+            MromObject::from_image_value_with_policy(&image, crate::AdmissionPolicy::Off),
             Err(MromError::BadImage(detail)) if detail.contains("ghost")
         ));
     }

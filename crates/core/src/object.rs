@@ -7,6 +7,7 @@ use std::sync::Arc;
 use mrom_script::EffectSignature;
 use mrom_value::{ObjectId, Value};
 
+use crate::admission::AdmissionPolicy;
 use crate::container::{ExtensibleContainer, FixedContainer, Section};
 use crate::error::MromError;
 use crate::item::DataItem;
@@ -671,6 +672,10 @@ impl MromObject {
     /// detaches pre-/post-procedures, changes ACLs, or renames (via the
     /// `rename` key). Extensible only; guarded by the method's meta ACL.
     ///
+    /// Host-side administration: the new body is installed without
+    /// admission analysis. Mobile-code boundaries use
+    /// [`MromObject::set_method_with_policy`].
+    ///
     /// # Errors
     ///
     /// Lookup/ACL errors, [`MromError::FixedSectionViolation`] for fixed
@@ -680,6 +685,24 @@ impl MromObject {
         caller: ObjectId,
         name: &str,
         desc: &Value,
+    ) -> Result<(), MromError> {
+        self.set_method_with_policy(caller, name, desc, AdmissionPolicy::Off)
+    }
+
+    /// [`MromObject::set_method`] with the resulting method admitted under
+    /// `policy` (checked after ACL and rename-collision checks).
+    ///
+    /// # Errors
+    ///
+    /// As [`MromObject::set_method`], plus
+    /// [`MromError::AdmissionRejected`] when `policy` is strict and the
+    /// new method fails static admission analysis.
+    pub fn set_method_with_policy(
+        &mut self,
+        caller: ObjectId,
+        name: &str,
+        desc: &Value,
+        policy: AdmissionPolicy,
     ) -> Result<(), MromError> {
         let (method, section) = self
             .find_method(name)
@@ -719,22 +742,24 @@ impl MromObject {
             .expect("section checked extensible")
             .clone();
         method.apply_descriptor(&desc_rest)?;
+        if let Some(new_name) = &rename {
+            if new_name != name
+                && (self.fixed_methods.contains(new_name) || self.ext_methods.contains(new_name))
+            {
+                return Err(MromError::DuplicateItem {
+                    object: self.id,
+                    item: new_name.clone(),
+                });
+            }
+        }
         crate::admission::admit_method(
-            crate::admission::default_admission_policy(),
+            policy,
             self,
             rename.as_deref().unwrap_or(name),
             &method,
             "set_method",
         )?;
         if let Some(new_name) = rename {
-            if new_name != name
-                && (self.fixed_methods.contains(&new_name) || self.ext_methods.contains(&new_name))
-            {
-                return Err(MromError::DuplicateItem {
-                    object: self.id,
-                    item: new_name,
-                });
-            }
             // Keep the tower consistent across renames.
             let interned: Arc<str> = Arc::from(new_name.as_str());
             for entry in &mut self.tower {
@@ -754,6 +779,10 @@ impl MromObject {
     /// The `addMethod` meta-operation. Extensible only; guarded by the
     /// object meta ACL.
     ///
+    /// Host-side administration: the body is installed without admission
+    /// analysis. Mobile-code boundaries use
+    /// [`MromObject::add_method_with_policy`].
+    ///
     /// # Errors
     ///
     /// ACL errors, [`MromError::DuplicateItem`] on collisions.
@@ -763,6 +792,24 @@ impl MromObject {
         name: &str,
         method: Method,
     ) -> Result<(), MromError> {
+        self.add_method_with_policy(caller, name, method, AdmissionPolicy::Off)
+    }
+
+    /// [`MromObject::add_method`] with the candidate admitted under
+    /// `policy` (checked after ACL and duplicate checks).
+    ///
+    /// # Errors
+    ///
+    /// As [`MromObject::add_method`], plus
+    /// [`MromError::AdmissionRejected`] when `policy` is strict and the
+    /// candidate fails static admission analysis.
+    pub fn add_method_with_policy(
+        &mut self,
+        caller: ObjectId,
+        name: &str,
+        method: Method,
+        policy: AdmissionPolicy,
+    ) -> Result<(), MromError> {
         self.check_meta(caller, name)?;
         if self.fixed_methods.contains(name) || self.ext_methods.contains(name) {
             return Err(MromError::DuplicateItem {
@@ -770,13 +817,7 @@ impl MromObject {
                 item: name.to_owned(),
             });
         }
-        crate::admission::admit_method(
-            crate::admission::default_admission_policy(),
-            self,
-            name,
-            &method,
-            "add_method",
-        )?;
+        crate::admission::admit_method(policy, self, name, &method, "add_method")?;
         self.ext_methods.insert(name.to_owned(), method);
         self.touch_structure();
         Ok(())

@@ -2,34 +2,14 @@
 //! enforcement at every trust boundary (`from_image`, `add_method`,
 //! `set_method`).
 //!
-//! Global-policy tests serialize on a local mutex and restore
-//! [`AdmissionPolicy::Off`] before releasing it, so the rest of the suite
-//! never observes a strict default.
-
-use std::sync::Mutex;
+//! Every boundary names its policy explicitly: there is no process-wide
+//! default, so these tests share no state and run in parallel.
 
 use mrom_core::{
-    set_default_admission_policy, Acl, AdmissionPolicy, DataItem, DiagnosticKind, Method,
-    MethodBody, MromError, MromObject, ObjectBuilder, Severity,
+    invoke_with_limits, Acl, AdmissionPolicy, DataItem, DiagnosticKind, InvokeLimits, Method,
+    MethodBody, MromError, MromObject, NoWorld, ObjectBuilder, Severity,
 };
 use mrom_value::{IdGenerator, NodeId, Value};
-
-static GLOBAL_POLICY: Mutex<()> = Mutex::new(());
-
-/// Runs `f` with the process-wide default policy set to `policy`,
-/// restoring `Off` afterwards even on panic.
-fn with_global_policy<R>(policy: AdmissionPolicy, f: impl FnOnce() -> R) -> R {
-    let _guard = GLOBAL_POLICY.lock().unwrap();
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_default_admission_policy(AdmissionPolicy::Off);
-        }
-    }
-    let _restore = Restore;
-    set_default_admission_policy(policy);
-    f()
-}
 
 fn ids() -> IdGenerator {
     IdGenerator::new(NodeId(21))
@@ -256,7 +236,7 @@ fn off_and_warn_admit_the_same_crafted_image() {
     assert_eq!(off, warn);
     // And the default entry point (policy Off) is byte-for-byte identical:
     // the admitted object re-serializes to the same image.
-    let again = MromObject::from_image(&image).unwrap();
+    let again = MromObject::from_image_with_policy(&image, AdmissionPolicy::Off).unwrap();
     assert_eq!(again, off);
     assert_eq!(again.migration_image(again.id()).unwrap(), image);
 }
@@ -282,69 +262,145 @@ fn warnings_never_block_strict_admission() {
 }
 
 #[test]
-fn strict_default_gates_add_method() {
-    with_global_policy(AdmissionPolicy::Strict, || {
-        let mut gen = ids();
-        let mut obj = clean_object(&mut gen);
-        let me = obj.id();
-        // Clean methods still install.
-        obj.add_method(me, "ok", script_method("return self.get(\"count\");"))
-            .unwrap();
-        // Defective ones are rejected before touching the object.
-        let err = obj
-            .add_method(me, "bad", script_method("return self.get(\"absent\");"))
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            MromError::AdmissionRejected { ref context, .. } if context == "add_method"
-        ));
-        assert!(obj.find_method("bad").is_none());
-    });
+fn strict_gates_add_method() {
+    let mut gen = ids();
+    let mut obj = clean_object(&mut gen);
+    let me = obj.id();
+    let strict = AdmissionPolicy::Strict;
+    // Clean methods still install.
+    obj.add_method_with_policy(
+        me,
+        "ok",
+        script_method("return self.get(\"count\");"),
+        strict,
+    )
+    .unwrap();
+    // Defective ones are rejected before touching the object.
+    let err = obj
+        .add_method_with_policy(
+            me,
+            "bad",
+            script_method("return self.get(\"absent\");"),
+            strict,
+        )
+        .unwrap_err();
+    assert!(matches!(
+        err,
+        MromError::AdmissionRejected { ref context, .. } if context == "add_method"
+    ));
+    assert!(obj.find_method("bad").is_none());
+    // The host-side entry point stays unchecked.
+    obj.add_method(me, "bad", script_method("return self.get(\"absent\");"))
+        .unwrap();
 }
 
 #[test]
-fn strict_default_gates_set_method() {
-    with_global_policy(AdmissionPolicy::Strict, || {
-        let mut gen = ids();
-        let mut obj = clean_object(&mut gen);
-        let me = obj.id();
-        obj.add_method(me, "mut", script_method("return 1;"))
-            .unwrap();
-        // Swapping in a defective body is rejected; the old body stays.
-        let bad_body = mrom_value::Value::map([(
-            "body",
-            mrom_value::Value::from("return self.get(\"absent\");"),
-        )]);
-        let err = obj.set_method(me, "mut", &bad_body).unwrap_err();
-        assert!(matches!(
-            err,
-            MromError::AdmissionRejected { ref context, .. } if context == "set_method"
-        ));
-        let mut world = mrom_core::NoWorld;
-        assert_eq!(
-            mrom_core::invoke(&mut obj, &mut world, me, "mut", &[]).unwrap(),
-            Value::Int(1)
-        );
-    });
+fn strict_gates_set_method() {
+    let mut gen = ids();
+    let mut obj = clean_object(&mut gen);
+    let me = obj.id();
+    obj.add_method(me, "mut", script_method("return 1;"))
+        .unwrap();
+    // Swapping in a defective body is rejected; the old body stays.
+    let bad_body = Value::map([("body", Value::from("return self.get(\"absent\");"))]);
+    let err = obj
+        .set_method_with_policy(me, "mut", &bad_body, AdmissionPolicy::Strict)
+        .unwrap_err();
+    assert!(matches!(
+        err,
+        MromError::AdmissionRejected { ref context, .. } if context == "set_method"
+    ));
+    assert_eq!(
+        mrom_core::invoke(&mut obj, &mut NoWorld, me, "mut", &[]).unwrap(),
+        Value::Int(1)
+    );
+}
+
+#[test]
+fn acl_then_duplicate_then_admission() {
+    let mut gen = ids();
+    let mut obj = clean_object(&mut gen);
+    let me = obj.id();
+    let stranger = gen.next_id();
+    let strict = AdmissionPolicy::Strict;
+    let bad = || script_method("return self.get(\"absent\");");
+    // A foreign principal is refused before the duplicate name is seen...
+    let err = obj
+        .add_method_with_policy(stranger, "bump", bad(), strict)
+        .unwrap_err();
+    assert!(matches!(err, MromError::AccessDenied { .. }), "{err}");
+    // ...and a duplicate before its body is analyzed.
+    let err = obj
+        .add_method_with_policy(me, "bump", bad(), strict)
+        .unwrap_err();
+    assert!(matches!(err, MromError::DuplicateItem { .. }), "{err}");
+
+    // setMethod: a rename onto an existing name is a duplicate even when
+    // the new body would also fail admission.
+    obj.add_method(me, "a", script_method("return 1;")).unwrap();
+    obj.add_method(me, "b", script_method("return 2;")).unwrap();
+    let rename_bad = Value::map([
+        ("body", Value::from("return self.get(\"absent\");")),
+        ("rename", Value::from("b")),
+    ]);
+    let err = obj
+        .set_method_with_policy(me, "a", &rename_bad, strict)
+        .unwrap_err();
+    assert!(matches!(err, MromError::DuplicateItem { .. }), "{err}");
+    let err = obj
+        .set_method_with_policy(stranger, "a", &rename_bad, strict)
+        .unwrap_err();
+    assert!(matches!(err, MromError::AccessDenied { .. }), "{err}");
+}
+
+#[test]
+fn meta_ops_through_invoke_answer_to_the_node_policy() {
+    let mut gen = ids();
+    let mut obj = clean_object(&mut gen);
+    let me = obj.id();
+    obj.add_method(
+        me,
+        "grow",
+        script_method("self.add_method(\"leak\", \"return self.get(\\\"absent\\\");\"); return 1;"),
+    )
+    .unwrap();
+    let strict = InvokeLimits {
+        admission: AdmissionPolicy::Strict,
+        ..InvokeLimits::default()
+    };
+    let mut refused = obj.clone();
+    let err = invoke_with_limits(&mut refused, &mut NoWorld, me, "grow", &[], &strict).unwrap_err();
+    assert!(format!("{err}").contains("admission"), "{err}");
+    assert!(refused.find_method("leak").is_none());
+    // The default node configuration admits the same body unchecked.
+    invoke_with_limits(
+        &mut obj,
+        &mut NoWorld,
+        me,
+        "grow",
+        &[],
+        &InvokeLimits::default(),
+    )
+    .unwrap();
+    assert!(obj.find_method("leak").is_some());
 }
 
 #[test]
 fn candidate_methods_may_recurse() {
-    with_global_policy(AdmissionPolicy::Strict, || {
-        let mut gen = ids();
-        let mut obj = clean_object(&mut gen);
-        let me = obj.id();
-        // The candidate references itself through self.invoke: its own
-        // name counts as present during admission.
-        obj.add_method(
-            me,
-            "countdown",
-            script_method(
-                "param n; if (n <= 0) { return 0; } return self.invoke(\"countdown\", [n - 1]);",
-            ),
-        )
-        .unwrap();
-    });
+    let mut gen = ids();
+    let mut obj = clean_object(&mut gen);
+    let me = obj.id();
+    // The candidate references itself through self.invoke: its own name
+    // counts as present during admission.
+    obj.add_method_with_policy(
+        me,
+        "countdown",
+        script_method(
+            "param n; if (n <= 0) { return 0; } return self.invoke(\"countdown\", [n - 1]);",
+        ),
+        AdmissionPolicy::Strict,
+    )
+    .unwrap();
 }
 
 #[test]

@@ -3,7 +3,8 @@
 //! encapsulation/security duality.
 
 use mrom_core::{
-    invoke, Acl, DataItem, Method, MethodBody, MromError, MromObject, NoWorld, ObjectBuilder,
+    invoke, Acl, AdmissionPolicy, DataItem, Method, MethodBody, MromError, MromObject, NoWorld,
+    ObjectBuilder,
 };
 use mrom_value::{IdGenerator, NodeId, ObjectId, Value};
 use proptest::prelude::*;
@@ -129,7 +130,8 @@ proptest! {
             apply(&mut obj, me, o);
         }
         let bytes = obj.migration_image(me).expect("script-only object is mobile");
-        let back = MromObject::from_image(&bytes).expect("own image decodes");
+        let back = MromObject::from_image_with_policy(&bytes, AdmissionPolicy::Off)
+            .expect("own image decodes");
         prop_assert_eq!(back, obj);
     }
 

@@ -1,4 +1,4 @@
-//! Shared-runtime effect instrumentation: checkout collisions are
+//! Runtime effect instrumentation: checkout collisions are
 //! classified by effect-signature disjointness and surface in the
 //! observability metrics.
 //!
@@ -11,7 +11,7 @@
 //! one per thread; this file keeps everything on the main test thread
 //! per test function).
 
-use mrom_core::{ClassSpec, DataItem, Method, MethodBody, MromError, SharedRuntime};
+use mrom_core::{ClassSpec, DataItem, Method, MethodBody, MromError, Runtime};
 use mrom_obs::{EventKind, ObsMode};
 use mrom_value::{NodeId, Value};
 
@@ -45,7 +45,7 @@ fn cyclic_class() -> ClassSpec {
 fn busy_collisions_are_classified_by_signature_disjointness() {
     mrom_obs::reset();
     mrom_obs::set_mode(ObsMode::Ring);
-    let rt = SharedRuntime::new(NodeId(77));
+    let rt = Runtime::new(NodeId(77));
     rt.with_classes_mut(|reg| reg.register(cyclic_class()))
         .unwrap();
     let id = rt.create("cyclic").unwrap();
@@ -91,7 +91,7 @@ fn busy_collisions_are_classified_by_signature_disjointness() {
 #[test]
 fn disabled_recorder_records_no_collision_state() {
     mrom_obs::reset();
-    let rt = SharedRuntime::new(NodeId(78));
+    let rt = Runtime::new(NodeId(78));
     rt.with_classes_mut(|reg| reg.register(cyclic_class()))
         .unwrap();
     let id = rt.create("cyclic").unwrap();

@@ -1,7 +1,7 @@
 //! Seeded interleaving-equivalence property for the concurrent runtime:
-//! any parallel schedule of **commuting** operations on a
-//! [`SharedRuntime`] leaves every object byte-equal to running the same
-//! operations in a sequential order on a plain [`Runtime`].
+//! any parallel schedule of **commuting** operations on a [`Runtime`]
+//! leaves every object byte-equal to running the same operations in a
+//! sequential order on one thread.
 //!
 //! The operations all commute — counter additions (`bump` = +1,
 //! `add n` = +n) on the same or different objects, `getDataItem` reads,
@@ -24,7 +24,6 @@ use std::thread;
 
 use mrom_core::{
     ClassSpec, DataItem, Method, MethodBody, MromError, MromObject, ObjectBuilder, Runtime,
-    SharedRuntime,
 };
 use mrom_value::{wire, NodeId, ObjectId, Value};
 
@@ -129,7 +128,7 @@ fn blank_spec() -> ClassSpec {
     ClassSpec::new("equiv-blank").fixed_data("tag", DataItem::public(Value::Int(7)))
 }
 
-fn apply(shared: &SharedRuntime, ids: &[ObjectId], op: Op) {
+fn apply(shared: &Runtime, ids: &[ObjectId], op: Op) {
     let (target, method, args) = match op {
         Op::Bump { obj } => (ids[obj], "bump", Vec::new()),
         Op::Add { obj, n } => (ids[obj], "add", vec![Value::Int(n)]),
@@ -164,7 +163,7 @@ fn table_image<F: Fn(ObjectId) -> Value>(
 
 /// Runs the schedule concurrently; returns the full table image.
 fn run_parallel(schedule: &Schedule) -> Vec<(ObjectId, Vec<u8>)> {
-    let shared = SharedRuntime::new(NodeId(21));
+    let shared = Runtime::new(NodeId(21));
     shared.with_classes_mut(|reg| reg.register(blank_spec()).unwrap());
     let ids: Vec<ObjectId> = (0..OBJECTS)
         .map(|_| shared.adopt(counter(shared.ids().next_id())).unwrap())
@@ -184,8 +183,8 @@ fn run_parallel(schedule: &Schedule) -> Vec<(ObjectId, Vec<u8>)> {
     })
 }
 
-/// Runs the schedule lane-major on the single-threaded wrapper; returns
-/// the full table image.
+/// Runs the schedule lane-major on one thread through `&mut` access;
+/// returns the full table image.
 fn run_sequential(schedule: &Schedule) -> Vec<(ObjectId, Vec<u8>)> {
     let mut rt = Runtime::new(NodeId(21));
     rt.classes_mut().register(blank_spec()).unwrap();

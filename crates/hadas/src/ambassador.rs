@@ -154,7 +154,10 @@ pub struct GuestInfo {
     pub remote_methods: Vec<String>,
 }
 
-/// Instantiates an Ambassador for `apo` according to `spec`.
+/// Instantiates an Ambassador for `apo` according to `spec`, admitting
+/// it under the exporting site's [`AdmissionPolicy`]: methods sliced out
+/// of the APO may reference data or peers that did not travel with them,
+/// and `Strict` refuses to ship such an ambassador.
 ///
 /// Returns the Ambassador object plus the list of the APO's public methods
 /// that did **not** migrate (the relay set). The Ambassador's `origin`
@@ -165,35 +168,9 @@ pub struct GuestInfo {
 /// # Errors
 ///
 /// [`HadasError::Model`] when a named method/data item does not exist or
-/// is not mobile; [`HadasError::AdmissionRefused`] when the process-wide
-/// default admission policy is strict and a copied body fails static
-/// analysis against the ambassador.
-pub fn instantiate_ambassador(
-    apo: &MromObject,
-    apo_name: &str,
-    origin_node: NodeId,
-    spec: &AmbassadorSpec,
-    ids: &mut IdGenerator,
-) -> Result<(MromObject, Vec<String>), HadasError> {
-    instantiate_ambassador_with_policy(
-        apo,
-        apo_name,
-        origin_node,
-        spec,
-        ids,
-        mrom_core::default_admission_policy(),
-    )
-}
-
-/// [`instantiate_ambassador`] under an explicit [`AdmissionPolicy`]: the
-/// exporting site verifies the ambassador it is about to ship — methods
-/// sliced out of the APO may reference data or peers that did not travel
-/// with them, and `Strict` refuses to ship such an ambassador.
-///
-/// # Errors
-///
-/// As [`instantiate_ambassador`]; admission failures surface as
-/// [`HadasError::AdmissionRefused`] naming `origin_node`.
+/// is not mobile; [`HadasError::AdmissionRefused`] naming `origin_node`
+/// when `policy` is strict and a copied body fails static analysis
+/// against the ambassador.
 pub fn instantiate_ambassador_with_policy(
     apo: &MromObject,
     apo_name: &str,
@@ -206,11 +183,11 @@ pub fn instantiate_ambassador_with_policy(
 }
 
 /// [`instantiate_ambassador_with_policy`] with a pre-minted identity (the
-/// shared-runtime path, where ids are minted through `&self`).
+/// runtime path, where ids are minted through `&self`).
 ///
 /// # Errors
 ///
-/// As [`instantiate_ambassador`].
+/// As [`instantiate_ambassador_with_policy`].
 pub fn instantiate_ambassador_as(
     apo: &MromObject,
     apo_name: &str,
@@ -353,8 +330,15 @@ mod tests {
         let spec = AmbassadorSpec::relay_only()
             .with_methods(["query"])
             .with_data(["rows"]);
-        let (mut amb, remote) =
-            instantiate_ambassador(&apo, "db", NodeId(40), &spec, &mut ids).unwrap();
+        let (mut amb, remote) = instantiate_ambassador_with_policy(
+            &apo,
+            "db",
+            NodeId(40),
+            &spec,
+            &mut ids,
+            AdmissionPolicy::Off,
+        )
+        .unwrap();
         assert_eq!(amb.origin(), apo.id());
         assert_eq!(remote, vec!["stats".to_owned()]);
         let mut world = NoWorld;
@@ -369,12 +353,13 @@ mod tests {
     fn install_records_context() {
         let mut ids = gen();
         let apo = sample_apo(&mut ids);
-        let (mut amb, _) = instantiate_ambassador(
+        let (mut amb, _) = instantiate_ambassador_with_policy(
             &apo,
             "db",
             NodeId(40),
             &AmbassadorSpec::relay_only(),
             &mut ids,
+            AdmissionPolicy::Off,
         )
         .unwrap();
         let mut world = NoWorld;
@@ -399,12 +384,13 @@ mod tests {
     fn host_cannot_mutate_but_origin_can() {
         let mut ids = gen();
         let apo = sample_apo(&mut ids);
-        let (mut amb, _) = instantiate_ambassador(
+        let (mut amb, _) = instantiate_ambassador_with_policy(
             &apo,
             "db",
             NodeId(40),
             &AmbassadorSpec::relay_only().with_methods(["query"]),
             &mut ids,
+            AdmissionPolicy::Off,
         )
         .unwrap();
         let host = ids.next_id();
@@ -436,17 +422,18 @@ mod tests {
     fn ambassadors_are_mobile_by_construction() {
         let mut ids = gen();
         let apo = sample_apo(&mut ids);
-        let (amb, _) = instantiate_ambassador(
+        let (amb, _) = instantiate_ambassador_with_policy(
             &apo,
             "db",
             NodeId(40),
             &AmbassadorSpec::relay_only().with_methods(["query", "stats"]),
             &mut ids,
+            AdmissionPolicy::Off,
         )
         .unwrap();
         // The origin can export it (the meta principal).
         let image = amb.migration_image(apo.id()).unwrap();
-        let back = MromObject::from_image(&image).unwrap();
+        let back = MromObject::from_image_with_policy(&image, AdmissionPolicy::Off).unwrap();
         assert_eq!(back, amb);
     }
 
@@ -454,20 +441,22 @@ mod tests {
     fn unknown_exports_fail() {
         let mut ids = gen();
         let apo = sample_apo(&mut ids);
-        assert!(instantiate_ambassador(
+        assert!(instantiate_ambassador_with_policy(
             &apo,
             "db",
             NodeId(40),
             &AmbassadorSpec::relay_only().with_methods(["ghost"]),
             &mut ids,
+            AdmissionPolicy::Off,
         )
         .is_err());
-        assert!(instantiate_ambassador(
+        assert!(instantiate_ambassador_with_policy(
             &apo,
             "db",
             NodeId(40),
             &AmbassadorSpec::relay_only().with_data(["ghost"]),
             &mut ids,
+            AdmissionPolicy::Off,
         )
         .is_err());
     }
@@ -503,18 +492,27 @@ mod tests {
 
         // A card-carrying spec attaches it as read-only public data.
         let spec = AmbassadorSpec::relay_only().with_capability_card();
-        let (amb, _) = instantiate_ambassador(&apo, "svc", NodeId(40), &spec, &mut ids).unwrap();
+        let (amb, _) = instantiate_ambassador_with_policy(
+            &apo,
+            "svc",
+            NodeId(40),
+            &spec,
+            &mut ids,
+            AdmissionPolicy::Off,
+        )
+        .unwrap();
         let advertised = amb
             .read_data(ids.next_id(), "capability_card")
             .expect("any principal can read the card");
         assert_eq!(advertised.as_map().unwrap().len(), card.len());
         // ... and a plain spec does not.
-        let (plain, _) = instantiate_ambassador(
+        let (plain, _) = instantiate_ambassador_with_policy(
             &apo,
             "svc",
             NodeId(40),
             &AmbassadorSpec::relay_only(),
             &mut ids,
+            AdmissionPolicy::Off,
         )
         .unwrap();
         assert!(plain.read_data(ids.next_id(), "capability_card").is_err());
@@ -526,7 +524,15 @@ mod tests {
         let apo = sample_apo(&mut ids);
         let spec = AmbassadorSpec::relay_only()
             .with_install("param ctx; self.set(\"installed\", true); return \"custom\";");
-        let (mut amb, _) = instantiate_ambassador(&apo, "db", NodeId(40), &spec, &mut ids).unwrap();
+        let (mut amb, _) = instantiate_ambassador_with_policy(
+            &apo,
+            "db",
+            NodeId(40),
+            &spec,
+            &mut ids,
+            AdmissionPolicy::Off,
+        )
+        .unwrap();
         let mut world = NoWorld;
         let host = ids.next_id();
         assert_eq!(

@@ -6,7 +6,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use mrom_core::{AdmissionPolicy, MromError, MromObject, Runtime, SharedRuntime};
+use mrom_core::{AdmissionPolicy, InvokeLimits, MromError, MromObject, Runtime};
 use mrom_net::{Delivery, NetStats, NetworkConfig, SimNet, SimTime};
 use mrom_persist::{BlobStore, Depot, MemStore};
 use mrom_value::{NodeId, ObjectId, Value};
@@ -82,7 +82,7 @@ struct QueuedInvoke {
     parent_span: u64,
 }
 
-/// Executes one inbox batch over a site's shared runtime. With one
+/// Executes one inbox batch over a site's runtime. With one
 /// worker (or a single-element batch) this runs inline on the calling
 /// thread; otherwise `workers` scoped threads pull requests off a shared
 /// cursor, each labelling itself and re-joining the request's travelled
@@ -90,14 +90,14 @@ struct QueuedInvoke {
 /// thread ran which request, so the wire stays deterministic even though
 /// execution interleaves.
 fn run_site_batch(
-    shared: &SharedRuntime,
+    runtime: &Runtime,
     node: NodeId,
     batch: &[QueuedInvoke],
     workers: usize,
 ) -> Vec<ProtocolMsg> {
     let execute = |q: &QueuedInvoke| -> ProtocolMsg {
         let _scope = mrom_obs::continue_trace(q.trace, q.parent_span);
-        match shared.invoke(q.caller, q.target, &q.method, &q.args) {
+        match runtime.invoke(q.caller, q.target, &q.method, &q.args) {
             Ok(result) => ProtocolMsg::InvokeResp {
                 req_id: q.req_id,
                 result,
@@ -145,6 +145,27 @@ fn run_site_batch(
     indexed.sort_by_key(|(i, _)| *i);
     debug_assert_eq!(indexed.len(), batch.len());
     indexed.into_iter().map(|(_, reply)| reply).collect()
+}
+
+/// Writes the federation admission policy into a site runtime's
+/// invocation config, where meta-operations reached through `invoke`
+/// read it.
+fn apply_admission(runtime: &Runtime, admission: AdmissionPolicy) {
+    runtime.set_limits(InvokeLimits {
+        admission,
+        ..runtime.limits()
+    });
+}
+
+/// Wraps a model error raised while admitting code at site `at`: strict
+/// rejections become [`HadasError::AdmissionRefused`] naming the site.
+fn refused_at(at: NodeId, e: MromError) -> HadasError {
+    match e {
+        rejection @ MromError::AdmissionRejected { .. } => {
+            HadasError::AdmissionRefused { at, rejection }
+        }
+        e => HadasError::Model(e),
+    }
 }
 
 /// One logical site: a node runtime, its IOO, and the bookkeeping the
@@ -257,7 +278,7 @@ pub struct Federation {
     /// default) keeps the historical fully-inline single-threaded path;
     /// `> 1` parks arriving `InvokeReq`s in the site inbox and executes
     /// each batch on a scoped worker pool over the site's
-    /// [`mrom_core::SharedRuntime`].
+    /// [`mrom_core::Runtime`].
     site_workers: usize,
 }
 
@@ -297,7 +318,7 @@ impl Federation {
     /// inbox, returning the previous value. `1` (the default) is the
     /// historical inline path — byte-for-byte identical behaviour;
     /// values above `1` execute batched remote invocations concurrently
-    /// over each site's shared runtime, where same-object collisions
+    /// over each site's runtime, where same-object collisions
     /// surface as [`MromError::ObjectBusy`]. Clamped to at least 1.
     pub fn set_site_workers(&mut self, workers: usize) -> usize {
         std::mem::replace(&mut self.site_workers, workers.max(1))
@@ -310,8 +331,14 @@ impl Federation {
     }
 
     /// Sets the federation-wide [`AdmissionPolicy`], returning the
-    /// previous one.
+    /// previous one. The policy governs arriving images and pushed
+    /// updates, and every site runtime applies it to the code that
+    /// `addMethod`/`setMethod` meta-operations install (sites added later
+    /// inherit it).
     pub fn set_admission_policy(&mut self, policy: AdmissionPolicy) -> AdmissionPolicy {
+        for site in self.sites.values() {
+            apply_admission(&site.runtime, policy);
+        }
         std::mem::replace(&mut self.admission, policy)
     }
 
@@ -336,13 +363,7 @@ impl Federation {
     /// converting strict rejections into [`HadasError::AdmissionRefused`]
     /// naming the receiving site.
     fn admit_image(&self, at: NodeId, image: &[u8]) -> Result<MromObject, HadasError> {
-        match MromObject::from_image_with_policy(image, self.admission) {
-            Ok(obj) => Ok(obj),
-            Err(rejection @ MromError::AdmissionRejected { .. }) => {
-                Err(HadasError::AdmissionRefused { at, rejection })
-            }
-            Err(e) => Err(HadasError::Model(e)),
-        }
+        MromObject::from_image_with_policy(image, self.admission).map_err(|e| refused_at(at, e))
     }
 
     /// Adds a site at `node`, creating its runtime and IOO. Returns the
@@ -357,6 +378,7 @@ impl Federation {
         }
         self.net.add_node(node)?;
         let mut runtime = Runtime::new(node);
+        apply_admission(&runtime, self.admission);
         let ioo_obj = crate::ioo::build_ioo_as(runtime.ids_mut().next_id(), node);
         let ioo = ioo_obj.id();
         let mut depot = Depot::new(MemStore::new());
@@ -976,7 +998,7 @@ impl Federation {
             return false;
         }
         let batch = std::mem::take(&mut site.inbox);
-        let replies = run_site_batch(site.runtime.shared(), node, &batch, workers);
+        let replies = run_site_batch(&site.runtime, node, &batch, workers);
         for (q, reply) in batch.iter().zip(&replies) {
             self.reply_to(node, q.src, q.req_id, reply);
         }
@@ -1147,6 +1169,7 @@ impl Federation {
         target: ObjectId,
         ops: &[UpdateOp],
     ) -> Result<usize, HadasError> {
+        let admission = self.admission;
         let site = self.sites.get_mut(&at).ok_or(HadasError::UnknownSite(at))?;
         if !site.guests.contains_key(&target) {
             return Err(HadasError::UnknownAmbassador(target));
@@ -1164,12 +1187,12 @@ impl Federation {
                 UpdateOp::AddMethod(name, desc) => {
                     let method =
                         mrom_core::Method::from_descriptor(desc).map_err(HadasError::Model)?;
-                    obj.add_method(origin, name, method)
-                        .map_err(HadasError::Model)?;
+                    obj.add_method_with_policy(origin, name, method, admission)
+                        .map_err(|e| refused_at(at, e))?;
                 }
                 UpdateOp::SetMethod(name, desc) => {
-                    obj.set_method(origin, name, desc)
-                        .map_err(HadasError::Model)?;
+                    obj.set_method_with_policy(origin, name, desc, admission)
+                        .map_err(|e| refused_at(at, e))?;
                 }
                 UpdateOp::DeleteMethod(name) => {
                     obj.delete_method(origin, name).map_err(HadasError::Model)?;

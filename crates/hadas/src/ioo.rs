@@ -25,7 +25,7 @@ pub fn build_ioo(ids: &mut IdGenerator, node: NodeId) -> MromObject {
     build_ioo_as(ids.next_id(), node)
 }
 
-/// [`build_ioo`] with a pre-minted identity (the shared-runtime path,
+/// [`build_ioo`] with a pre-minted identity (the runtime path,
 /// where ids are minted through `&self`).
 pub fn build_ioo_as(id: ObjectId, node: NodeId) -> MromObject {
     let system_writable = Acl::only([ObjectId::SYSTEM]);

@@ -54,8 +54,7 @@ pub mod scenarios;
 
 pub use advisor::{Advisor, AdvisorConfig, AdvisorDecision, AdvisorInput, AdvisorPass, Candidate};
 pub use ambassador::{
-    capability_card, instantiate_ambassador, instantiate_ambassador_with_policy, AmbassadorSpec,
-    GuestInfo,
+    capability_card, instantiate_ambassador_with_policy, AmbassadorSpec, GuestInfo,
 };
 pub use error::HadasError;
 pub use federation::{ExportPolicy, Federation, InvokeCall, SiteStats};

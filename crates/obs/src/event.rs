@@ -250,7 +250,7 @@ pub enum EventKind {
         /// The duplicate message's wire tag.
         kind: &'static str,
     },
-    /// A shared-runtime checkout found the target already checked out by
+    /// A runtime checkout found the target already checked out by
     /// a concurrent invocation.
     SharedCollision {
         /// Node whose object table collided.

@@ -506,7 +506,7 @@ pub fn script_ic(hits: u64, misses: u64) {
     });
 }
 
-/// Records a shared-runtime checkout collision, classified by effect
+/// Records a runtime checkout collision, classified by effect
 /// signatures: `disjoint = Some(true)` when the in-flight and incoming
 /// methods provably touch disjoint state, `Some(false)` when they
 /// overlap, `None` when no comparison was possible.
@@ -561,8 +561,8 @@ pub fn runtime_invoke(node: NodeId, target: ObjectId, method: &str) {
 // ===== log channel (always on) ===========================================
 
 /// Appends to the bounded log channel. Unlike every other helper this
-/// records even in `Disabled` mode — it replaces `Runtime::log_entries`,
-/// whose behaviour never depended on an observability switch.
+/// records even in `Disabled` mode — it is the node log scripts write with
+/// `self.log(...)`, which must not depend on an observability switch.
 pub fn log_line(node: NodeId, caller: ObjectId, message: &str) {
     with_recorder(|r| r.log_line(node, caller, message));
 }

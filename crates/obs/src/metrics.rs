@@ -457,7 +457,7 @@ pub struct Metrics {
     pub persist: PersistMetrics,
     /// Admission analysis.
     pub admission: AdmissionMetrics,
-    /// Shared-runtime object table.
+    /// Runtime object table.
     pub shared: SharedMetrics,
     /// HADAS federation.
     pub federation: FederationMetrics,

@@ -6,7 +6,7 @@
 //!
 //! * **hot objects** — per-receiver invocation count, error count, fuel
 //!   p50/p95, wall latency p50/p95 (Full mode only), and the
-//!   busy-collision count from the shared runtime;
+//!   busy-collision count from the runtime;
 //! * **call matrix** — `(src, dst)` site pairs: the diagonal counts
 //!   invocations executed at a site, off-diagonal entries count
 //!   cross-site `invoke_req` traffic;
@@ -49,7 +49,7 @@ pub struct ObjectProfile {
     pub latency_p50_ns: u64,
     /// 95th-percentile wall latency in nanoseconds.
     pub latency_p95_ns: u64,
-    /// Shared-runtime checkout collisions against this object.
+    /// Runtime checkout collisions against this object.
     pub busy_collisions: u64,
     /// Remote invocation requests per requesting site (empty unless the
     /// window was configured with

@@ -16,8 +16,9 @@
 //! * **Full** — Ring plus wall-clock span latency histograms.
 //!
 //! The **log channel** is the one exception: it always records (bounded),
-//! because it replaces the old `Runtime::log_entries` vec whose behaviour
-//! did not depend on any observability switch.
+//! because it is the only home of the node log that scripts write with
+//! `self.log(...)`, and that log must not depend on any observability
+//! switch.
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -355,7 +356,7 @@ impl Recorder {
         }
     }
 
-    /// Window feed: a shared-runtime checkout collision on `object`.
+    /// Window feed: a runtime checkout collision on `object`.
     pub fn window_collision(&mut self, object: ObjectId) {
         let now = self.virtual_now_us;
         if let Some(b) = self.window.as_mut().and_then(|w| w.bucket_at(now)) {

@@ -93,7 +93,7 @@ pub struct ObjectWindowStats {
     /// Wall-clock application latency (Full mode only — Ring mode reads
     /// no clocks, so this stays empty and the window stays deterministic).
     pub latency_ns: Histogram,
-    /// Shared-runtime checkout collisions against this object.
+    /// Runtime checkout collisions against this object.
     pub busy_collisions: u64,
     /// Remote invocation requests per requesting site (only fed when the
     /// window was configured with [`WindowConfig::with_callers`]): which

@@ -1,7 +1,7 @@
 //! The self-persistence protocol: objects write themselves into
 //! host-allocated space; hosts bootstrap them back.
 
-use mrom_core::MromObject;
+use mrom_core::{AdmissionPolicy, MromObject};
 use mrom_value::ObjectId;
 
 use crate::error::PersistError;
@@ -76,7 +76,10 @@ impl<S: BlobStore> Depot<S> {
             .store
             .get(&id.to_string())?
             .ok_or(PersistError::NotFound(id))?;
-        Ok(MromObject::from_image(&bytes)?)
+        Ok(MromObject::from_image_with_policy(
+            &bytes,
+            AdmissionPolicy::Off,
+        )?)
     }
 
     /// Removes the stored image for `id`; `true` if one existed.
@@ -129,7 +132,8 @@ impl<S: BlobStore> Depot<S> {
         let mut failed = Vec::new();
         for key in self.store.keys() {
             match self.store.get(&key).and_then(|bytes| match bytes {
-                Some(b) => MromObject::from_image(&b).map_err(PersistError::from),
+                Some(b) => MromObject::from_image_with_policy(&b, AdmissionPolicy::Off)
+                    .map_err(PersistError::from),
                 None => Err(PersistError::Corrupt {
                     key: key.clone(),
                     detail: "key vanished during restore".into(),

@@ -213,62 +213,45 @@ impl IdGenerator {
 }
 
 /// A thread-safe [`IdGenerator`]: mints identities through `&self`, so a
-/// shared (multi-worker) runtime can create objects without a lock around
-/// the generator.
+/// multi-worker runtime can create objects concurrently.
 ///
-/// Used **sequentially**, the stream is identical to [`IdGenerator`] with
-/// the same seed: the sequence counter and the xorshift entropy stream
-/// advance exactly once per mint. Under concurrent minting the pairing of
-/// sequence numbers with entropy draws depends on thread interleaving —
-/// ids stay globally unique either way (uniqueness comes from `(node,
-/// seq)`; entropy only guards against node-id reuse).
+/// The stream is identical to [`IdGenerator`] with the same seed: each
+/// mint takes the next sequence number and the next entropy draw together
+/// under one short lock, so `n` concurrent mints yield exactly the ids of
+/// `n` sequential mints, whatever the interleaving.
 #[derive(Debug)]
 pub struct AtomicIdGenerator {
-    node: NodeId,
-    next_seq: std::sync::atomic::AtomicU32,
-    rng_state: std::sync::atomic::AtomicU64,
+    inner: std::sync::Mutex<IdGenerator>,
 }
 
 impl AtomicIdGenerator {
     /// Creates a generator for `node` with a seed derived from the node id
     /// (same derivation as [`IdGenerator::new`]).
     pub fn new(node: NodeId) -> Self {
-        Self::with_seed(node, node.0 ^ 0x9e37_79b9_7f4a_7c15)
+        Self::from_generator(&IdGenerator::new(node))
     }
 
     /// Creates a generator with an explicit entropy seed.
     pub fn with_seed(node: NodeId, seed: u64) -> Self {
-        AtomicIdGenerator {
-            node,
-            next_seq: std::sync::atomic::AtomicU32::new(1),
-            // xorshift must not start at 0
-            rng_state: std::sync::atomic::AtomicU64::new(seed | 1),
-        }
+        Self::from_generator(&IdGenerator::with_seed(node, seed))
     }
 
     /// Adopts the exact state of a sequential generator, continuing its
     /// stream where it left off.
     pub fn from_generator(gen: &IdGenerator) -> Self {
         AtomicIdGenerator {
-            node: gen.node,
-            next_seq: std::sync::atomic::AtomicU32::new(gen.next_seq),
-            rng_state: std::sync::atomic::AtomicU64::new(gen.rng_state),
+            inner: std::sync::Mutex::new(gen.clone()),
         }
     }
 
     /// Snapshots the current state as a sequential [`IdGenerator`].
     pub fn to_generator(&self) -> IdGenerator {
-        use std::sync::atomic::Ordering;
-        IdGenerator {
-            node: self.node,
-            next_seq: self.next_seq.load(Ordering::Relaxed),
-            rng_state: self.rng_state.load(Ordering::Relaxed),
-        }
+        self.lock().clone()
     }
 
     /// The node this generator mints identities for.
     pub fn node(&self) -> NodeId {
-        self.node
+        self.lock().node()
     }
 
     /// Mints the next identity. Safe to call from any number of threads.
@@ -278,25 +261,16 @@ impl AtomicIdGenerator {
     /// Panics if more than `u32::MAX - 1` identities are minted from one
     /// generator, matching [`IdGenerator::next_id`].
     pub fn next_id(&self) -> ObjectId {
-        use std::sync::atomic::Ordering;
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        assert!(seq != u32::MAX, "object id sequence exhausted on this node");
-        // xorshift64 advanced by compare-exchange: each mint consumes
-        // exactly one step of the stream, whatever the interleaving.
-        let mut cur = self.rng_state.load(Ordering::Relaxed);
-        loop {
-            let mut x = cur;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            match self
-                .rng_state
-                .compare_exchange_weak(cur, x, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return ObjectId::from_parts(self.node, seq, (x >> 32) as u32),
-                Err(seen) => cur = seen,
-            }
-        }
+        self.lock().next_id()
+    }
+
+    /// The lock guards two plain integers and is never held across user
+    /// code, so a poisoned lock (an exhausted-sequence panic) leaves the
+    /// state coherent.
+    fn lock(&self) -> std::sync::MutexGuard<'_, IdGenerator> {
+        self.inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
@@ -373,19 +347,32 @@ mod tests {
     }
 
     #[test]
-    fn atomic_generator_unique_across_threads() {
-        let atomic = AtomicIdGenerator::new(NodeId(12));
-        let mut all = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| s.spawn(|| (0..1000).map(|_| atomic.next_id()).collect::<Vec<_>>()))
-                .collect();
-            for h in handles {
-                all.extend(h.join().expect("minting thread panicked"));
-            }
-        });
-        let distinct: HashSet<_> = all.iter().copied().collect();
-        assert_eq!(distinct.len(), 8000);
+    fn atomic_generator_mints_the_sequential_set_across_threads() {
+        let mut seq = IdGenerator::new(NodeId(12));
+        let sequential: HashSet<_> = (0..8000).map(|_| seq.next_id()).collect();
+        // Racing mints must keep each sequence number paired with its own
+        // entropy draw; a lost pairing is rare, so race several rounds.
+        for _ in 0..20 {
+            let atomic = AtomicIdGenerator::new(NodeId(12));
+            let start = std::sync::Barrier::new(4);
+            let mut all = Vec::new();
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..4)
+                    .map(|_| {
+                        s.spawn(|| {
+                            start.wait();
+                            (0..2000).map(|_| atomic.next_id()).collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                for h in handles {
+                    all.extend(h.join().expect("minting thread panicked"));
+                }
+            });
+            let distinct: HashSet<_> = all.iter().copied().collect();
+            assert_eq!(distinct.len(), 8000);
+            assert_eq!(distinct, sequential);
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! Run with: `cargo run --example interface_adaptation`
 
 use mrom::core::{
-    invoke, Acl, DataItem, Method, MethodBody, MromObject, NoWorld, ObjectBuilder, Runtime,
+    invoke, Acl, AdmissionPolicy, DataItem, Method, MethodBody, MromObject, NoWorld, ObjectBuilder,
+    Runtime,
 };
 use mrom::value::{NodeId, Value};
 
@@ -113,10 +114,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
     ];
 
-    for (mut rt, call_as, payload) in hosts {
+    for (rt, call_as, payload) in hosts {
         let node = rt.node();
         // The worker arrives as data and is adopted.
-        let visitor = MromObject::from_image(&image)?;
+        let visitor = MromObject::from_image_with_policy(&image, AdmissionPolicy::Off)?;
         rt.adopt(visitor)?;
         // Negotiation: the host hands its contract to the newcomer.
         let host_obj_id = rt
@@ -151,8 +152,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // A host with an unsupported convention is refused cleanly.
-    let mut rt = make_host(4, "execute", "xml-envelope");
-    let visitor = MromObject::from_image(&image)?;
+    let rt = make_host(4, "execute", "xml-envelope");
+    let visitor = MromObject::from_image_with_policy(&image, AdmissionPolicy::Off)?;
     rt.adopt(visitor)?;
     let host_obj_id = rt.object_ids()[0];
     let contract = Value::map([

@@ -3,7 +3,9 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use mrom::core::{invoke, DataItem, Method, MethodBody, MromObject, NoWorld, ObjectBuilder};
+use mrom::core::{
+    invoke, AdmissionPolicy, DataItem, Method, MethodBody, MromObject, NoWorld, ObjectBuilder,
+};
 use mrom::value::{IdGenerator, NodeId, Value};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -138,7 +140,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n== self-contained migration ==");
     let image = obj.migration_image(me)?;
     println!("object serialized itself into {} bytes", image.len());
-    let mut clone = MromObject::from_image(&image)?;
+    let mut clone = MromObject::from_image_with_policy(&image, AdmissionPolicy::Off)?;
     let out = invoke(
         &mut clone,
         &mut world,

@@ -41,7 +41,7 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use mrom::core::{Diagnostic, MethodBody, MromObject, Severity};
+use mrom::core::{AdmissionPolicy, Diagnostic, MethodBody, MromObject, Severity};
 use mrom::obs::to_json;
 use mrom::script::analyze::analyze_program;
 use mrom::script::{solve_effects, EffectSignature, LocalEffects, Program};
@@ -171,7 +171,7 @@ fn diagnostic_value(path: &str, d: &Diagnostic) -> Value {
 fn lint_bytes(bytes: &[u8], opts: Options) -> Outcome {
     // A framed wire buffer is an object image; anything else is script.
     if let Ok(v) = wire::decode(bytes) {
-        return match MromObject::from_image_value(&v) {
+        return match MromObject::from_image_value_with_policy(&v, AdmissionPolicy::Off) {
             Ok(obj) => {
                 let mut extra = Vec::new();
                 if opts.dump {

@@ -13,7 +13,7 @@
 
 use std::process::ExitCode;
 
-use mrom::core::MromObject;
+use mrom::core::{AdmissionPolicy, MromObject};
 use mrom::script::Program;
 use mrom::value::{wire, Value};
 
@@ -92,7 +92,8 @@ fn cmd_inspect(path: &str) -> Result<String, String> {
 
 /// Describes a migration image (split out for testing).
 fn inspect_image(bytes: &[u8]) -> Result<String, String> {
-    let obj = MromObject::from_image(bytes).map_err(|e| format!("not a valid image: {e}"))?;
+    let obj = MromObject::from_image_with_policy(bytes, AdmissionPolicy::Off)
+        .map_err(|e| format!("not a valid image: {e}"))?;
     let me = obj.id();
     let mut out = String::new();
     out.push_str(&format!("object   {}\n", obj.id()));

@@ -1,5 +1,5 @@
 //! Hammer tests for the concurrent sharded site runtime
-//! ([`mrom::core::SharedRuntime`]): genuine OS-thread parallelism over
+//! ([`mrom::core::Runtime`]): genuine OS-thread parallelism over
 //! one object table.
 //!
 //! Three properties, straight from the checkout protocol's contract:
@@ -30,9 +30,7 @@ fn knob(var: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-use mrom::core::{
-    DataItem, Method, MethodBody, MromError, MromObject, ObjectBuilder, Runtime, SharedRuntime,
-};
+use mrom::core::{DataItem, Method, MethodBody, MromError, MromObject, ObjectBuilder, Runtime};
 use mrom::value::{NodeId, ObjectId, Value};
 
 const THREADS: usize = 8;
@@ -65,7 +63,7 @@ fn counter(id: ObjectId) -> MromObject {
 fn disjoint_objects_parallel_equals_sequential_object_for_object() {
     // Parallel world: THREADS objects, one hammering thread each.
     let ops_per_thread = ops_per_thread();
-    let shared = SharedRuntime::new(NodeId(9));
+    let shared = Runtime::new(NodeId(9));
     let ids: Vec<ObjectId> = (0..THREADS)
         .map(|_| {
             shared
@@ -117,7 +115,7 @@ fn disjoint_objects_parallel_equals_sequential_object_for_object() {
 
 #[test]
 fn same_object_contention_yields_only_ok_or_object_busy() {
-    let shared = SharedRuntime::new(NodeId(10));
+    let shared = Runtime::new(NodeId(10));
     let id = shared.adopt(counter(shared.ids().next_id())).unwrap();
     let attempts_per_thread = knob("MROM_HAMMER_ATTEMPTS", 400);
 
@@ -154,7 +152,7 @@ fn same_object_contention_yields_only_ok_or_object_busy() {
 
 #[test]
 fn add_method_invoke_storm_never_sees_stale_dispatch_cache() {
-    let shared = SharedRuntime::new(NodeId(11));
+    let shared = Runtime::new(NodeId(11));
     let obj = ObjectBuilder::new(shared.ids().next_id())
         .class("hammer-extensible")
         .build();

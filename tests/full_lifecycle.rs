@@ -3,8 +3,8 @@
 //! exercised through the public facade.
 
 use mrom::core::{
-    invoke, Acl, ClassSpec, DataItem, InvokeLimits, Method, MethodBody, MromError, MromObject,
-    NoWorld, Runtime,
+    invoke, Acl, AdmissionPolicy, ClassSpec, DataItem, InvokeLimits, Method, MethodBody, MromError,
+    MromObject, NoWorld, Runtime,
 };
 use mrom::net::{LinkConfig, NetworkConfig, SimNet};
 use mrom::persist::{BlobStore, Depot, FileStore, MemStore};
@@ -73,7 +73,8 @@ fn agent_roams_three_nodes_via_the_network() {
         net.send(nodes[i], nodes[i + 1], image).unwrap();
         let delivery = net.step().expect("image in flight");
         assert_eq!(delivery.dst, nodes[i + 1]);
-        let unpacked = MromObject::from_image(&delivery.payload).unwrap();
+        let unpacked =
+            MromObject::from_image_with_policy(&delivery.payload, AdmissionPolicy::Off).unwrap();
         runtimes[i + 1].adopt(unpacked).unwrap();
     }
 
@@ -134,7 +135,7 @@ fn file_persistence_survives_restart_and_corruption() {
     let (objs, failed) = depot.restore_all();
     assert_eq!(objs.len(), 2);
     assert!(failed.is_empty());
-    let mut rt2 = Runtime::new(NodeId(7));
+    let rt2 = Runtime::new(NodeId(7));
     for obj in objs {
         rt2.adopt(obj).unwrap();
     }
@@ -184,7 +185,7 @@ fn hostile_host_cannot_break_a_visiting_object() {
     let image = obj.migration_image(me).unwrap();
 
     // The hostile node unpacks the visitor.
-    let visitor = MromObject::from_image(&image).unwrap();
+    let visitor = MromObject::from_image_with_policy(&image, AdmissionPolicy::Off).unwrap();
     let visitor_id = hostile.adopt(visitor).unwrap();
     let host_admin = hostile.ids_mut().next_id();
 
@@ -365,7 +366,7 @@ fn runtime_checkpoint_and_restore() {
     // Cold restart.
     let (restored, failed) = depot.restore_all();
     assert!(failed.is_empty());
-    let mut rt2 = Runtime::new(NodeId(31));
+    let rt2 = Runtime::new(NodeId(31));
     for obj in restored {
         rt2.adopt(obj).unwrap();
     }

@@ -7,7 +7,7 @@
 use std::thread;
 use std::time::Duration;
 
-use mrom::core::{ClassSpec, DataItem, Method, MethodBody, MromObject, Runtime};
+use mrom::core::{AdmissionPolicy, ClassSpec, DataItem, Method, MethodBody, MromObject, Runtime};
 use mrom::net::{live_cluster, LiveDelivery, LiveNode};
 use mrom::value::{NodeId, Value};
 
@@ -75,14 +75,14 @@ fn object_ping_pongs_between_threads() {
         // Keep volleying.
         for round in 0..ROUNDS - 1 {
             let d = recv_or_die(&h1, &format!("return leg {round}"));
-            let obj = MromObject::from_image(&d.payload).unwrap();
+            let obj = MromObject::from_image_with_policy(&d.payload, AdmissionPolicy::Off).unwrap();
             rt.adopt(obj).unwrap();
             let image = hop(&mut rt, obj_id, NodeId(1));
             h1.send(NodeId(2), image).unwrap();
         }
         // Final receive: the object retires at node 1.
         let d = recv_or_die(&h1, "final leg");
-        let obj = MromObject::from_image(&d.payload).unwrap();
+        let obj = MromObject::from_image_with_policy(&d.payload, AdmissionPolicy::Off).unwrap();
         rt.adopt(obj).unwrap();
         let log = rt.object(obj_id).unwrap().read_data(obj_id, "log").unwrap();
         (obj_id, log)
@@ -92,7 +92,7 @@ fn object_ping_pongs_between_threads() {
         let mut rt = Runtime::new(NodeId(2));
         for round in 0..ROUNDS {
             let d = recv_or_die(&h2, &format!("inbound leg {round}"));
-            let obj = MromObject::from_image(&d.payload).unwrap();
+            let obj = MromObject::from_image_with_policy(&d.payload, AdmissionPolicy::Off).unwrap();
             let obj_id = obj.id();
             rt.adopt(obj).unwrap();
             let image = hop(&mut rt, obj_id, NodeId(2));
@@ -124,11 +124,12 @@ fn fan_out_migration_under_parallel_load() {
         .into_iter()
         .map(|h| {
             thread::spawn(move || {
-                let mut rt = Runtime::new(h.node());
+                let rt = Runtime::new(h.node());
                 let mut done = 0usize;
                 while done < AGENTS_PER_CONSUMER {
                     let d = recv_or_die(&h, &format!("agent {done}"));
-                    let obj = MromObject::from_image(&d.payload).unwrap();
+                    let obj = MromObject::from_image_with_policy(&d.payload, AdmissionPolicy::Off)
+                        .unwrap();
                     let id = obj.id();
                     rt.adopt(obj).unwrap();
                     let n = rt

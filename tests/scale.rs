@@ -119,8 +119,10 @@ fn big_object_survives_migration_and_persistence() {
     let obj = rt.evict(id).unwrap();
     let image = obj.migration_image(id).unwrap();
     assert!(image.len() > 900_000, "image only {} bytes", image.len());
-    let back = mrom::core::MromObject::from_image(&image).unwrap();
-    let mut rt2 = Runtime::new(NodeId(10));
+    let back =
+        mrom::core::MromObject::from_image_with_policy(&image, mrom::core::AdmissionPolicy::Off)
+            .unwrap();
+    let rt2 = Runtime::new(NodeId(10));
     rt2.adopt(back).unwrap();
     assert_eq!(
         rt2.invoke_as_system(id, "inventory_size", &[]).unwrap(),
