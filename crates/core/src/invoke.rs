@@ -747,7 +747,13 @@ fn perform_meta(
         }
         MetaOp::GetStats => {
             want_arity(op, args, &[0])?;
-            Ok(crate::stats::stats_value(object.id()))
+            // The subject's own row of the `getTelemetry` fold.
+            let mut v = mrom_obs::object_profile(object.id()).to_value();
+            if let Some(m) = v.as_map_mut() {
+                m.insert("object".to_owned(), Value::ObjectRef(object.id()));
+                m.insert("obs_mode".to_owned(), Value::from(mrom_obs::mode().name()));
+            }
+            Ok(v)
         }
         MetaOp::GetEffects => {
             want_arity(op, args, &[0, 1])?;
@@ -768,8 +774,14 @@ fn perform_meta(
             }
         }
         MetaOp::GetTelemetry => {
+            // Site-wide: the object is the door, not the filter, so a
+            // mobile object can ask "what is hot here" wherever it lands.
             want_arity(op, args, &[0])?;
-            Ok(crate::stats::telemetry_value(object.id()))
+            let mut v = mrom_obs::telemetry_value();
+            if let Some(m) = v.as_map_mut() {
+                m.insert("object".to_owned(), Value::ObjectRef(object.id()));
+            }
+            Ok(v)
         }
     }
 }

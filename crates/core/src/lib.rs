@@ -79,7 +79,6 @@ mod migrate;
 mod object;
 mod runtime;
 mod security;
-mod stats;
 
 pub use admission::AdmissionPolicy;
 pub use class::{ClassRegistry, ClassSpec};
@@ -98,7 +97,6 @@ pub use mrom_script::{EffectSignature, LocalEffects};
 pub use object::{MromObject, ObjectBuilder};
 pub use runtime::{ClassesGuard, ObjectGuard, PoisonCause, Runtime, SHARD_COUNT};
 pub use security::{Acl, TypeConstraint};
-pub use stats::{stats_object, stats_value};
 
 /// Crate-local result alias over [`MromError`].
 pub type Result<T> = std::result::Result<T, MromError>;

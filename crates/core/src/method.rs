@@ -41,11 +41,14 @@ pub enum MetaOp {
     DeleteMethod,
     /// `invoke(name, args)` — the most important meta-method.
     Invoke,
-    /// `getStats()` → live behavioural counters for this object from the
-    /// observability layer. A reproduction extension (not in the paper's
-    /// nine): self-representation applied to *behaviour*, answering "what
-    /// did my invocations do" with the same machinery that answers
-    /// structural questions.
+    /// `getStats()` → this object's own row of the `getTelemetry` fold:
+    /// its windowed invocation profile (invocations, errors, fuel and
+    /// latency percentiles, busy collisions) plus `object` and
+    /// `obs_mode`; zeros when no telemetry window is installed. A
+    /// reproduction extension (not in the paper's nine):
+    /// self-representation applied to *behaviour*, answering "what did my
+    /// invocations do" with the same machinery that answers structural
+    /// questions.
     GetStats,
     /// `getEffects()` / `getEffects(name)` → interprocedural effect
     /// signatures for this object's methods, computed by the static
@@ -60,8 +63,8 @@ pub enum MetaOp {
     /// site-to-site call matrix, and per-link delivery windows. A
     /// reproduction extension (not in the paper's nine): the flight
     /// recorder's aggregate view surfaced through the same reflective
-    /// door as `getStats`, so a mobile object can ask "what is hot
-    /// here" wherever it lands.
+    /// door as `getStats` (which answers one row of it), so a mobile
+    /// object can ask "what is hot here" wherever it lands.
     GetTelemetry,
 }
 

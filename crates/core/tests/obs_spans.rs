@@ -1,12 +1,13 @@
 //! Observability integration: the invocation tower produces correctly
 //! nested spans, a disabled recorder observes nothing, and `getStats`
-//! answers through the ordinary invocation machinery.
+//! answers through the ordinary invocation machinery with the subject's
+//! own row of the `getTelemetry` fold.
 //!
 //! Each test runs on its own thread, so each gets its own thread-local
 //! recorder and they cannot interfere.
 
 use mrom_core::{invoke, DataItem, Method, MethodBody, NoWorld, ObjectBuilder};
-use mrom_obs::{EventKind, ObsMode};
+use mrom_obs::{EventKind, ObsMode, WindowConfig};
 use mrom_value::{IdGenerator, NodeId, Value};
 
 fn ids() -> IdGenerator {
@@ -128,8 +129,9 @@ fn disabled_recorder_observes_nothing() {
 }
 
 #[test]
-fn get_stats_meta_method_reports_live_counters() {
+fn get_stats_is_the_subjects_row_of_get_telemetry() {
     mrom_obs::reset();
+    mrom_obs::set_window(Some(WindowConfig::DEFAULT));
     mrom_obs::set_mode(ObsMode::Ring);
     let (mut obj, mut gen) = towered_adder(0);
     let me = obj.id();
@@ -145,14 +147,62 @@ fn get_stats_meta_method_reports_live_counters() {
         )
         .unwrap();
     }
-    // The stats surface is an ordinary meta-method invocation.
-    let v = invoke(&mut obj, &mut world, caller, "getStats", &[]).unwrap();
+    let err = invoke(&mut obj, &mut world, caller, "add", &[Value::Int(1)]);
+    assert!(err.is_err(), "one failing application");
+    // Ask the whole fold through a second object (the door, not the
+    // filter), so that read leaves the subject's row untouched; then ask
+    // the subject for its own row.
+    let mut door = ObjectBuilder::new(gen.next_id()).class("door").build();
+    let telemetry = invoke(&mut door, &mut world, caller, "getTelemetry", &[]).unwrap();
+    let stats = invoke(&mut obj, &mut world, caller, "getStats", &[]).unwrap();
     mrom_obs::set_mode(ObsMode::Disabled);
-    let m = v.as_map().expect("getStats returns a map");
+    mrom_obs::set_window(None);
+
+    let t = telemetry.as_map().expect("getTelemetry returns a map");
+    let Some(Value::List(rows)) = t.get("objects") else {
+        panic!("telemetry has no object rows: {t:?}");
+    };
+    let row = rows
+        .iter()
+        .filter_map(Value::as_map)
+        .find(|r| r.get("object") == Some(&Value::from(me.to_string())))
+        .and_then(|r| r.get("profile"))
+        .and_then(Value::as_map)
+        .expect("the subject has a telemetry row");
+    let mut m = stats.as_map().expect("getStats returns a map").clone();
+    assert_eq!(m.remove("object"), Some(Value::ObjectRef(me)));
+    assert_eq!(m.remove("obs_mode"), t.get("mode").cloned());
+    assert_eq!(&m, row, "getStats is exactly the subject's telemetry row");
+    assert_eq!(m.get("invocations"), Some(&Value::Int(4)));
+    assert_eq!(m.get("errors"), Some(&Value::Int(1)));
+    assert!(matches!(m.get("fuel_total"), Some(Value::Int(n)) if *n > 0));
+}
+
+#[test]
+fn get_stats_without_a_window_is_zeros_and_the_mode() {
+    mrom_obs::reset();
+    mrom_obs::set_mode(ObsMode::Ring);
+    let (mut obj, mut gen) = towered_adder(0);
+    let me = obj.id();
+    let caller = gen.next_id();
+    let mut world = NoWorld;
+    invoke(
+        &mut obj,
+        &mut world,
+        caller,
+        "add",
+        &[Value::Int(1), Value::Int(2)],
+    )
+    .unwrap();
+    let stats = invoke(&mut obj, &mut world, caller, "getStats", &[]).unwrap();
+    mrom_obs::set_mode(ObsMode::Disabled);
+    let m = stats.as_map().expect("getStats returns a map");
     assert_eq!(m.get("object"), Some(&Value::ObjectRef(me)));
     assert_eq!(m.get("obs_mode"), Some(&Value::from("ring")));
-    let Some(Value::Int(n)) = m.get("invocations") else {
-        panic!("invocations counter missing: {m:?}");
-    };
-    assert!(*n >= 3, "live counter should cover the three adds, got {n}");
+    for (key, value) in m {
+        if key != "object" && key != "obs_mode" {
+            assert_eq!(value, &Value::Int(0), "{key} is zero without a window");
+        }
+    }
+    assert!(m.contains_key("invocations") && m.contains_key("fuel_total"));
 }

@@ -23,9 +23,11 @@
 //! `--affinity PERMILLE` (caller-affine workload), and `--flip-every N`
 //! (ping-pong home flipping).
 //!
-//! Exit code 0 on success, 1 when a run violates a fleet invariant or
-//! fails outright, 2 on usage errors.
+//! Exit code 0 on success, 1 when a run violates a fleet invariant,
+//! fails outright, or cannot write its standard output, 2 on usage
+//! errors.
 
+use std::io::Write;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -63,11 +65,11 @@ fn main() -> ExitCode {
         },
         _ => return usage(),
     };
-    match run {
-        Ok(output) => {
-            println!("{output}");
-            ExitCode::SUCCESS
-        }
+    let written = run.and_then(|output| {
+        writeln!(std::io::stdout(), "{output}").map_err(|e| format!("cannot write output: {e}"))
+    });
+    match written {
+        Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("mrom-fleet: {msg}");
             ExitCode::from(1)

@@ -309,17 +309,7 @@ impl FleetReport {
                     ("in_flight", int(self.in_flight)),
                 ]),
             ),
-            (
-                "net",
-                Value::map([
-                    ("sent", int(self.stats.messages_sent)),
-                    ("delivered", int(self.stats.messages_delivered)),
-                    ("dropped", int(self.stats.messages_dropped)),
-                    ("duplicated", int(self.stats.messages_duplicated)),
-                    ("bytes_sent", int(self.stats.bytes_sent)),
-                    ("bytes_delivered", int(self.stats.bytes_delivered)),
-                ]),
-            ),
+            ("net", self.stats.to_value()),
             (
                 "telemetry",
                 Value::map([

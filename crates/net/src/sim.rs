@@ -193,24 +193,20 @@ impl SimNet {
             return Err(NetError::SelfSend(src));
         }
         self.stats.record_send(payload.len());
-        mrom_obs::net_send();
 
         if self.down.contains(&src) || self.down.contains(&dst) {
             self.stats.record_drop(src, dst);
-            mrom_obs::net_drop();
             mrom_obs::link_dropped(src, dst);
             return Ok(None);
         }
         if self.config.is_partitioned(src, dst) {
             self.stats.record_drop(src, dst);
-            mrom_obs::net_drop();
             mrom_obs::link_dropped(src, dst);
             return Ok(None);
         }
         let link = self.config.link(src, dst);
         if link.loss() > 0.0 && self.rng.random::<f64>() < link.loss() {
             self.stats.record_drop(src, dst);
-            mrom_obs::net_drop();
             mrom_obs::link_dropped(src, dst);
             return Ok(None);
         }
@@ -252,7 +248,6 @@ impl SimNet {
             // A retransmitting transport delivers a second copy slightly
             // later; the copy does not advance the FIFO front.
             self.stats.record_duplicate();
-            mrom_obs::net_duplicate();
             let lag = SimTime::from_micros(self.rng.random_range(1..=hold_us));
             self.seq += 1;
             self.queue.push(Reverse(InFlight {
@@ -289,13 +284,11 @@ impl SimNet {
         mrom_obs::set_virtual_now_us(self.now.as_micros());
         if self.down.contains(&msg.dst) {
             self.stats.record_drop(msg.src, msg.dst);
-            mrom_obs::net_drop();
             mrom_obs::link_dropped(msg.src, msg.dst);
             return None;
         }
         self.stats
             .record_delivery(msg.src, msg.dst, msg.payload.len());
-        mrom_obs::net_deliver(msg.payload.len());
         mrom_obs::link_delivered(
             msg.src,
             msg.dst,

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use mrom_value::NodeId;
+use mrom_value::{NodeId, Value};
 
 /// Counters maintained by the simulator; every experiment report reads
 /// these rather than re-deriving traffic from logs.
@@ -41,6 +41,22 @@ impl NetStats {
         } else {
             self.messages_delivered as f64 / self.messages_sent as f64
         }
+    }
+
+    /// The message and byte totals as a value tree (the per-link maps
+    /// are left out): the `net` section of fleet reports and of
+    /// `mrom-top --snapshot`.
+    #[must_use]
+    pub fn to_value(&self) -> Value {
+        let int = |v: u64| Value::Int(i64::try_from(v).unwrap_or(i64::MAX));
+        Value::map([
+            ("sent", int(self.messages_sent)),
+            ("delivered", int(self.messages_delivered)),
+            ("dropped", int(self.messages_dropped)),
+            ("duplicated", int(self.messages_duplicated)),
+            ("bytes_sent", int(self.bytes_sent)),
+            ("bytes_delivered", int(self.bytes_delivered)),
+        ])
     }
 
     pub(crate) fn record_send(&mut self, bytes: usize) {

@@ -1,14 +1,18 @@
 //! # mrom-obs
 //!
 //! Observability for the MROM reproduction: a flight-recorder trace, a
-//! metrics registry, and the data feed for the reflective `getStats`
-//! surface — *zero-cost when disabled*.
+//! metrics registry, and a sliding telemetry window that feeds the
+//! reflective `getStats` and `getTelemetry` surface — *zero-cost when
+//! disabled*.
 //!
 //! The paper's first principle is self-representation: an object answers
 //! questions about its own structure. This crate extends that to
-//! *behaviour* — what did the last thousand invocations do, where did
-//! fuel go, which pre-wraps vetoed — so the answer can be queried both by
-//! tools (`mrom-top`) and through the model itself (`getStats`).
+//! *behaviour* — what did the recent invocations do, where did fuel go,
+//! which links drop — so the answer can be queried both by tools
+//! (`mrom-top`) and through the model itself. Each fact has one owner:
+//! per-object behaviour lives only in the window ([`object_profile`] is
+//! one object's row of [`telemetry_snapshot`]), subsystem totals in
+//! [`Metrics`], and network totals in `mrom-net`'s `NetStats`.
 //!
 //! ## Design
 //!
@@ -58,7 +62,7 @@ pub use export::{chrome_trace, validate_chrome_trace};
 pub use json::{to_json, to_json_pretty};
 pub use metrics::{
     AdmissionMetrics, FederationMetrics, Histogram, InvokeMetrics, Metrics, MigrateMetrics,
-    NetMetrics, ObjectStats, PersistMetrics, ScriptMetrics, SharedMetrics, HISTOGRAM_BUCKETS,
+    PersistMetrics, ScriptMetrics, SharedMetrics, HISTOGRAM_BUCKETS,
 };
 pub use profile::{LinkProfile, ObjectProfile, TelemetrySnapshot, TELEMETRY_SCHEMA};
 pub use recorder::{ObsMode, Recorder, SpanHandle, LOG_CHANNEL_CAPACITY};
@@ -171,23 +175,10 @@ pub fn metrics_snapshot() -> Metrics {
     with_recorder(|r| r.metrics().clone())
 }
 
-/// Per-object tallies for `id` (zeroed if never seen).
-#[must_use]
-pub fn object_stats(id: ObjectId) -> ObjectStats {
-    with_recorder(|r| r.metrics().per_object.get(&id).cloned().unwrap_or_default())
-}
-
-/// Per-object tallies as a value tree — the payload of the reflective
-/// `getStats` meta-method.
-#[must_use]
-pub fn object_stats_value(id: ObjectId) -> Value {
-    object_stats(id).to_value()
-}
-
 /// The stable schema tag stamped on every [`snapshot_value`] tree —
 /// the contract `mrom-top --snapshot --json` consumers parse against
 /// (see docs/OBSERVABILITY.md for the field-by-field description).
-pub const METRICS_SCHEMA: &str = "mrom.metrics.v1";
+pub const METRICS_SCHEMA: &str = "mrom.metrics.v2";
 
 /// Whole-registry snapshot as a value tree, wrapped with the schema
 /// tag, the mode, and the event count.
@@ -210,12 +201,6 @@ pub fn snapshot_value() -> Value {
 #[must_use]
 pub fn snapshot_json() -> String {
     to_json(&snapshot_value())
-}
-
-/// [`snapshot_value`] rendered as indented JSON.
-#[must_use]
-pub fn snapshot_json_pretty() -> String {
-    to_json_pretty(&snapshot_value())
 }
 
 // ===== virtual time and the telemetry window =============================
@@ -263,6 +248,14 @@ pub fn telemetry_snapshot() -> TelemetrySnapshot {
 #[must_use]
 pub fn telemetry_value() -> Value {
     telemetry_snapshot().to_value()
+}
+
+/// `object`'s row of [`telemetry_snapshot`], folded from that object's
+/// window buckets alone — the payload behind `getStats`. All zeros when
+/// no window is installed.
+#[must_use]
+pub fn object_profile(object: ObjectId) -> ObjectProfile {
+    with_recorder(|r| r.object_profile(object))
 }
 
 // ===== trace context =====================================================
@@ -320,10 +313,6 @@ pub fn invoke_start(object: ObjectId, method: &str, caller: ObjectId, level: u32
         let m = r.metrics_mut();
         m.invoke.invocations += 1;
         m.invoke.max_tower_depth = m.invoke.max_tower_depth.max(u64::from(level));
-        let per = m.object_mut(object);
-        per.invocations += 1;
-        per.last_method.clear();
-        per.last_method.push_str(method);
         r.open_span(EventKind::InvokeStart {
             object,
             method: method.to_owned(),
@@ -357,11 +346,6 @@ pub fn invoke_end(
         let ok = outcome == "ok";
         if !ok {
             m.invoke.errors += 1;
-        }
-        let per = m.object_mut(object);
-        per.fuel_used += fuel_used;
-        if !ok {
-            per.errors += 1;
         }
         r.window_invoke(object, ok, fuel_used, latency_ns);
         r.close_span(
@@ -409,7 +393,6 @@ pub fn acl_decision(object: ObjectId, method: &str, caller: ObjectId, allowed: b
             m.invoke.acl_allowed += 1;
         } else {
             m.invoke.acl_denied += 1;
-            m.object_mut(object).acl_denied += 1;
         }
         r.record(EventKind::AclDecision {
             object,
@@ -451,7 +434,6 @@ pub fn meta_op(object: ObjectId, op: &'static str) {
     }
     with_recorder(|r| {
         r.metrics_mut().invoke.meta_ops += 1;
-        r.metrics_mut().object_mut(object).meta_ops += 1;
         r.record(EventKind::MetaOp { object, op });
     });
 }
@@ -833,51 +815,10 @@ pub fn site_restart(node: NodeId, restored: u64, quarantined: u64) {
     });
 }
 
-/// Bumps the network send counter (metrics only; no trace event — one
-/// per message would drown the ring).
-#[inline]
-pub fn net_send() {
-    if !enabled() {
-        return;
-    }
-    with_recorder(|r| r.metrics_mut().net.sends += 1);
-}
-
-/// Bumps the network drop counter (metrics only).
-#[inline]
-pub fn net_drop() {
-    if !enabled() {
-        return;
-    }
-    with_recorder(|r| r.metrics_mut().net.drops += 1);
-}
-
-/// Bumps the network duplication counter (metrics only).
-#[inline]
-pub fn net_duplicate() {
-    if !enabled() {
-        return;
-    }
-    with_recorder(|r| r.metrics_mut().net.duplicates += 1);
-}
-
-/// Bumps the network delivery counters (metrics only).
-#[inline]
-pub fn net_deliver(bytes: usize) {
-    if !enabled() {
-        return;
-    }
-    with_recorder(|r| {
-        let m = r.metrics_mut();
-        m.net.deliveries += 1;
-        m.net.bytes_delivered += bytes as u64;
-    });
-}
-
 /// Records a delivery over one link into the telemetry window:
 /// `latency_us` is the virtual time the message spent on the wire.
-/// Like the other `net_*` hooks this emits no trace event (one per
-/// message would drown the ring).
+/// Like [`link_dropped`] this emits no trace event (one per message
+/// would drown the ring).
 #[inline]
 pub fn link_delivered(src: NodeId, dst: NodeId, bytes: usize, latency_us: u64) {
     if !enabled() {
@@ -909,7 +850,7 @@ mod tests {
         invoke_end(span, ObjectId::SYSTEM, "m", "ok", 5);
         lookup(ObjectId::SYSTEM, "m", true, true);
         meta_op(ObjectId::SYSTEM, "getDataItem");
-        net_send();
+        link_delivered(NodeId(1), NodeId(2), 8, 10);
         assert_eq!(events_recorded(), 0);
         assert!(ring_snapshot().is_empty());
         assert_eq!(metrics_snapshot(), Metrics::default());
@@ -918,6 +859,7 @@ mod tests {
     #[test]
     fn full_mode_times_spans_and_counts() {
         set_mode(ObsMode::Full);
+        set_window(Some(WindowConfig::DEFAULT));
         let span = invoke_start(ObjectId::SYSTEM, "m", ObjectId::SYSTEM, 0);
         assert!(span.is_active());
         assert!(span.started.is_some());
@@ -926,13 +868,16 @@ mod tests {
         assert_eq!(m.invoke.invocations, 1);
         assert_eq!(m.invoke.latency_ns.count(), 1);
         assert_eq!(m.invoke.fuel.count(), 1);
-        assert_eq!(object_stats(ObjectId::SYSTEM).fuel_used, 40);
-        assert_eq!(object_stats(ObjectId::SYSTEM).last_method, "m");
+        let row = object_profile(ObjectId::SYSTEM);
+        assert_eq!((row.invocations, row.fuel_total), (1, 40));
+        assert!(row.latency_p50_ns > 0, "Full mode times the span");
+        set_window(None);
     }
 
     #[test]
     fn ring_mode_skips_the_clock() {
         set_mode(ObsMode::Ring);
+        set_window(Some(WindowConfig::DEFAULT));
         let span = invoke_start(ObjectId::SYSTEM, "m", ObjectId::SYSTEM, 0);
         assert!(span.is_active());
         assert!(span.started.is_none());
@@ -940,7 +885,9 @@ mod tests {
         let m = metrics_snapshot();
         assert_eq!(m.invoke.latency_ns.count(), 0);
         assert_eq!(m.invoke.errors, 1);
-        assert_eq!(object_stats(ObjectId::SYSTEM).errors, 1);
+        let row = object_profile(ObjectId::SYSTEM);
+        assert_eq!((row.errors, row.latency_p50_ns), (1, 0));
+        set_window(None);
     }
 
     #[test]
@@ -1064,7 +1011,7 @@ mod tests {
         let json = snapshot_json();
         assert!(json.contains("\"mode\":\"full\""));
         assert!(json.contains("\"invocations\":1"));
-        let pretty = snapshot_json_pretty();
+        let pretty = to_json_pretty(&snapshot_value());
         assert!(pretty.contains("\"invoke\""));
     }
 }

@@ -1,15 +1,14 @@
 //! The metrics registry: counters and fixed-bucket histograms per
-//! subsystem, plus per-object tallies backing the reflective `getStats`
-//! surface.
+//! subsystem. Per-object behaviour lives in the telemetry window
+//! ([`crate::WindowState`]) and network counts in `mrom-net`'s
+//! `NetStats`; each fact has one owner.
 //!
 //! Everything here is plain `u64` arithmetic on thread-local state — no
 //! atomics, no locks — because the whole reproduction is single-threaded
 //! per simulated world. Snapshots are cheap structural clones and can be
 //! exported as a [`Value`] tree (and from there as JSON).
 
-use std::collections::BTreeMap;
-
-use mrom_value::{ObjectId, Value};
+use mrom_value::Value;
 
 /// Number of power-of-two buckets in a [`Histogram`].
 pub const HISTOGRAM_BUCKETS: usize = 32;
@@ -371,80 +370,7 @@ impl FederationMetrics {
     }
 }
 
-/// Counters for the simulated network substrate.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NetMetrics {
-    /// Messages accepted by `SimNet::send`.
-    pub sends: u64,
-    /// Messages dropped (loss, partition, or crashed node).
-    pub drops: u64,
-    /// Messages delivered to a handler.
-    pub deliveries: u64,
-    /// Extra copies injected by link duplication faults.
-    pub duplicates: u64,
-    /// Payload bytes delivered.
-    pub bytes_delivered: u64,
-}
-
-impl NetMetrics {
-    fn to_value(&self) -> Value {
-        Value::map([
-            ("sends", int(self.sends)),
-            ("drops", int(self.drops)),
-            ("deliveries", int(self.deliveries)),
-            ("duplicates", int(self.duplicates)),
-            ("bytes_delivered", int(self.bytes_delivered)),
-        ])
-    }
-}
-
-/// Per-object behavioural tallies — the data behind `getStats`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ObjectStats {
-    /// Applications where this object was the receiver.
-    pub invocations: u64,
-    /// Of those, how many returned an error.
-    pub errors: u64,
-    /// Fuel consumed while this object was the receiver.
-    pub fuel_used: u64,
-    /// Meta-operations performed on this object.
-    pub meta_ops: u64,
-    /// ACL denials suffered by callers of this object.
-    pub acl_denied: u64,
-    /// The selector of the most recent application.
-    pub last_method: String,
-}
-
-impl ObjectStats {
-    /// Snapshot as a value tree.
-    #[must_use]
-    pub fn to_value(&self) -> Value {
-        Value::map([
-            ("invocations", int(self.invocations)),
-            ("errors", int(self.errors)),
-            ("fuel_used", int(self.fuel_used)),
-            ("meta_ops", int(self.meta_ops)),
-            ("acl_denied", int(self.acl_denied)),
-            ("last_method", Value::from(self.last_method.as_str())),
-        ])
-    }
-
-    /// The schema of [`ObjectStats::to_value`]: field name → description.
-    /// Used by `statsObject()` to populate the fixed (schema) section.
-    #[must_use]
-    pub fn schema() -> &'static [(&'static str, &'static str)] {
-        &[
-            ("invocations", "applications with this object as receiver"),
-            ("errors", "applications that returned an error"),
-            ("fuel_used", "fuel consumed while this object was receiver"),
-            ("meta_ops", "reflective meta-operations performed"),
-            ("acl_denied", "ACL denials suffered by callers"),
-            ("last_method", "selector of the most recent application"),
-        ]
-    }
-}
-
-/// The full registry: one struct per subsystem plus per-object tallies.
+/// The full registry: one struct per subsystem.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Metrics {
     /// Invocation machinery.
@@ -461,31 +387,12 @@ pub struct Metrics {
     pub shared: SharedMetrics,
     /// HADAS federation.
     pub federation: FederationMetrics,
-    /// Simulated network.
-    pub net: NetMetrics,
-    /// Per-object tallies, keyed by receiver identity.
-    pub per_object: BTreeMap<ObjectId, ObjectStats>,
 }
 
 impl Metrics {
-    /// Mutable per-object entry, created on first touch.
-    pub fn object_mut(&mut self, id: ObjectId) -> &mut ObjectStats {
-        self.per_object.entry(id).or_default()
-    }
-
     /// Snapshot of the whole registry as a value tree (JSON-exportable).
     #[must_use]
     pub fn to_value(&self) -> Value {
-        let objects: Vec<Value> = self
-            .per_object
-            .iter()
-            .map(|(id, stats)| {
-                Value::map([
-                    ("object", Value::from(id.to_string())),
-                    ("stats", stats.to_value()),
-                ])
-            })
-            .collect();
         Value::map([
             ("invoke", self.invoke.to_value()),
             ("script", self.script.to_value()),
@@ -494,8 +401,6 @@ impl Metrics {
             ("admission", self.admission.to_value()),
             ("shared", self.shared.to_value()),
             ("federation", self.federation.to_value()),
-            ("net", self.net.to_value()),
-            ("objects", Value::List(objects)),
         ])
     }
 }
@@ -562,7 +467,6 @@ mod tests {
     fn registry_snapshot_has_all_subsystems() {
         let mut m = Metrics::default();
         m.invoke.invocations = 3;
-        m.object_mut(ObjectId::SYSTEM).invocations = 3;
         let v = m.to_value();
         let Value::Map(entries) = &v else {
             panic!("snapshot must be a map")
@@ -574,27 +478,13 @@ mod tests {
             "migrate",
             "persist",
             "admission",
+            "shared",
             "federation",
-            "net",
-            "objects",
         ] {
             assert!(keys.contains(&key), "missing subsystem {key}");
         }
-    }
-
-    #[test]
-    fn object_stats_value_matches_schema() {
-        let stats = ObjectStats {
-            invocations: 2,
-            last_method: "greet".into(),
-            ..ObjectStats::default()
-        };
-        let Value::Map(entries) = stats.to_value() else {
-            panic!("stats must be a map")
-        };
-        let keys: Vec<String> = entries.keys().cloned().collect();
-        for (name, _) in ObjectStats::schema() {
-            assert!(keys.contains(&(*name).to_owned()), "schema field {name}");
-        }
+        // Per-object rows live in the telemetry window and network
+        // counts in `NetStats`; the registry no longer duplicates them.
+        assert!(!keys.contains(&"objects") && !keys.contains(&"net"));
     }
 }

@@ -27,7 +27,7 @@ use mrom_value::{NodeId, ObjectId, Value};
 use crate::json::to_json;
 use crate::metrics::Histogram;
 use crate::recorder::ObsMode;
-use crate::window::{WindowConfig, WindowState};
+use crate::window::{ObjectWindowStats, WindowConfig, WindowState};
 
 /// The stable schema tag stamped on every snapshot.
 pub const TELEMETRY_SCHEMA: &str = "mrom.telemetry.v1";
@@ -85,7 +85,25 @@ impl ObjectProfile {
         self.busy_collisions.saturating_mul(1000) / self.invocations
     }
 
-    fn to_value(&self) -> Value {
+    /// `object`'s row of the window fold: the accumulation
+    /// [`TelemetrySnapshot::collect`] runs per object, applied to this one
+    /// object's buckets only. All zeros when no window is installed or the
+    /// object left no sample in it.
+    #[must_use]
+    pub fn collect(window: Option<&WindowState>, object: ObjectId) -> ObjectProfile {
+        let mut fold = ProfileFold::default();
+        for bucket in window.map(WindowState::live_buckets).unwrap_or_default() {
+            if let Some(s) = bucket.objects.get(&object) {
+                fold.add(s);
+            }
+        }
+        fold.finish()
+    }
+
+    /// The profile as a value tree: one row of the `mrom.telemetry.v1`
+    /// `objects` list, and the payload of the reflective `getStats`.
+    #[must_use]
+    pub fn to_value(&self) -> Value {
         let mut fields = vec![
             ("invocations", int(self.invocations)),
             ("errors", int(self.errors)),
@@ -109,6 +127,41 @@ impl ObjectProfile {
             fields.push(("callers", Value::List(callers)));
         }
         Value::map(fields)
+    }
+}
+
+/// One object's running fold over epoch buckets: counters add and the
+/// per-bucket histograms merge, so quantiles are read once at the end.
+/// Both the whole-window fold and the single-object row use it.
+#[derive(Default)]
+struct ProfileFold {
+    profile: ObjectProfile,
+    fuel: Histogram,
+    latency_ns: Histogram,
+}
+
+impl ProfileFold {
+    fn add(&mut self, s: &ObjectWindowStats) {
+        let p = &mut self.profile;
+        p.invocations += s.invocations;
+        p.errors += s.errors;
+        p.fuel_total += s.fuel.sum();
+        p.busy_collisions += s.busy_collisions;
+        for (site, n) in &s.remote_callers {
+            *p.remote_callers.entry(*site).or_insert(0) += n;
+        }
+        self.fuel.merge(&s.fuel);
+        self.latency_ns.merge(&s.latency_ns);
+    }
+
+    fn finish(self) -> ObjectProfile {
+        ObjectProfile {
+            fuel_p50: self.fuel.quantile(0.50),
+            fuel_p95: self.fuel.quantile(0.95),
+            latency_p50_ns: self.latency_ns.quantile(0.50),
+            latency_p95_ns: self.latency_ns.quantile(0.95),
+            ..self.profile
+        }
     }
 }
 
@@ -184,21 +237,11 @@ impl TelemetrySnapshot {
         let Some(window) = window else {
             return snap;
         };
-        let mut fuel: BTreeMap<ObjectId, Histogram> = BTreeMap::new();
-        let mut latency: BTreeMap<ObjectId, Histogram> = BTreeMap::new();
+        let mut objects: BTreeMap<ObjectId, ProfileFold> = BTreeMap::new();
         let mut link_latency: BTreeMap<(NodeId, NodeId), Histogram> = BTreeMap::new();
         for bucket in window.live_buckets() {
             for (id, s) in &bucket.objects {
-                let p = snap.objects.entry(*id).or_default();
-                p.invocations += s.invocations;
-                p.errors += s.errors;
-                p.fuel_total += s.fuel.sum();
-                p.busy_collisions += s.busy_collisions;
-                for (site, n) in &s.remote_callers {
-                    *p.remote_callers.entry(*site).or_insert(0) += n;
-                }
-                fuel.entry(*id).or_default().merge(&s.fuel);
-                latency.entry(*id).or_default().merge(&s.latency_ns);
+                objects.entry(*id).or_default().add(s);
             }
             for (edge, n) in &bucket.calls {
                 *snap.calls.entry(*edge).or_insert(0) += n;
@@ -211,16 +254,10 @@ impl TelemetrySnapshot {
                 link_latency.entry(*edge).or_default().merge(&s.latency_us);
             }
         }
-        for (id, p) in &mut snap.objects {
-            if let Some(h) = fuel.get(id) {
-                p.fuel_p50 = h.quantile(0.50);
-                p.fuel_p95 = h.quantile(0.95);
-            }
-            if let Some(h) = latency.get(id) {
-                p.latency_p50_ns = h.quantile(0.50);
-                p.latency_p95_ns = h.quantile(0.95);
-            }
-        }
+        snap.objects = objects
+            .into_iter()
+            .map(|(id, fold)| (id, fold.finish()))
+            .collect();
         for (edge, p) in &mut snap.links {
             if let Some(h) = link_latency.get(edge) {
                 p.latency_p50_us = h.quantile(0.50);
@@ -446,6 +483,23 @@ mod tests {
         assert_eq!(l.delivered, 2);
         assert_eq!(l.delivered_per_1k(), 1000);
         assert_eq!(l.latency_p50_us, 511);
+    }
+
+    #[test]
+    fn one_object_row_equals_its_row_of_the_whole_fold() {
+        let w = seeded_window();
+        let snap = TelemetrySnapshot::collect(ObsMode::Ring, 1100, Some(&w));
+        let row = ObjectProfile::collect(Some(&w), ObjectId::SYSTEM);
+        assert_eq!(Some(&row), snap.objects.get(&ObjectId::SYSTEM));
+        let absent = ObjectId::from_parts(NodeId(9), 1, 0);
+        assert_eq!(
+            ObjectProfile::collect(Some(&w), absent),
+            ObjectProfile::default()
+        );
+        assert_eq!(
+            ObjectProfile::collect(None, ObjectId::SYSTEM),
+            ObjectProfile::default()
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@ use mrom_value::{NodeId, ObjectId};
 
 use crate::event::{Event, EventKind, TraceEvent};
 use crate::metrics::Metrics;
-use crate::profile::TelemetrySnapshot;
+use crate::profile::{ObjectProfile, TelemetrySnapshot};
 use crate::ring::{FlightRecorder, DEFAULT_RING_CAPACITY};
 use crate::sink::TraceSink;
 use crate::window::{WindowConfig, WindowState};
@@ -311,6 +311,13 @@ impl Recorder {
     #[must_use]
     pub fn telemetry(&self) -> TelemetrySnapshot {
         TelemetrySnapshot::collect(self.mode, self.virtual_now_us, self.window.as_ref())
+    }
+
+    /// `object`'s row of [`Recorder::telemetry`], folded from that
+    /// object's window buckets alone.
+    #[must_use]
+    pub fn object_profile(&self, object: ObjectId) -> ObjectProfile {
+        ObjectProfile::collect(self.window.as_ref(), object)
     }
 
     /// Window feed: one completed application against `object`.

@@ -35,10 +35,11 @@
 //! stream instead of parsing prose.
 //!
 //! Exit code 0 when everything is clean or carries only warnings, 1 when
-//! any file is unreadable/unparsable or any error-severity diagnostic
-//! fires, 2 on usage errors.
+//! any file is unreadable/unparsable, any error-severity diagnostic
+//! fires, or standard output cannot be written, 2 on usage errors.
 
 use std::collections::BTreeMap;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use mrom::core::{AdmissionPolicy, Diagnostic, MethodBody, MromObject, Severity};
@@ -68,12 +69,19 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     let mut failed = false;
+    let mut out = io::stdout().lock();
     for path in &args {
         let outcome = match std::fs::read(path) {
             Ok(bytes) => lint_bytes(&bytes, opts),
             Err(e) => Outcome::Unreadable(format!("cannot read: {e}")),
         };
-        failed |= print_outcome(path, &outcome, opts);
+        match print_outcome(&mut out, path, &outcome, opts) {
+            Ok(file_failed) => failed |= file_failed,
+            Err(e) => {
+                eprintln!("mrom-lint: cannot write output: {e}");
+                return ExitCode::from(1);
+            }
+        }
     }
     if failed {
         ExitCode::from(1)
@@ -96,10 +104,15 @@ enum Outcome {
     Unreadable(String),
 }
 
-/// Prints one file's outcome in the selected format; returns `true` when
-/// the file fails the lint (any error-severity diagnostic, or no
-/// analysis at all).
-fn print_outcome(path: &str, outcome: &Outcome, opts: Options) -> bool {
+/// Writes one file's outcome to `out` in the selected format; returns
+/// `true` when the file fails the lint (any error-severity diagnostic, or
+/// no analysis at all).
+fn print_outcome(
+    out: &mut impl Write,
+    path: &str,
+    outcome: &Outcome,
+    opts: Options,
+) -> io::Result<bool> {
     match outcome {
         Outcome::Report {
             diagnostics,
@@ -108,7 +121,7 @@ fn print_outcome(path: &str, outcome: &Outcome, opts: Options) -> bool {
         } => {
             if opts.json {
                 for d in diagnostics {
-                    println!("{}", to_json(&diagnostic_value(path, d)));
+                    writeln!(out, "{}", to_json(&diagnostic_value(path, d)))?;
                 }
                 if let Some(table) = effects {
                     let record = Value::map([
@@ -116,25 +129,29 @@ fn print_outcome(path: &str, outcome: &Outcome, opts: Options) -> bool {
                         ("path", Value::from(path)),
                         ("methods", mrom::core::effects_value(table)),
                     ]);
-                    println!("{}", to_json(&record));
+                    writeln!(out, "{}", to_json(&record))?;
                 }
             } else {
                 for d in diagnostics {
-                    println!("{path}: {d}");
+                    writeln!(out, "{path}: {d}")?;
                 }
                 for line in extra {
-                    println!("{path}: {line}");
+                    writeln!(out, "{path}: {line}")?;
                 }
                 if let Some(table) = effects {
                     for (name, sig) in table {
-                        println!("{path}: effects of {name:?}: {}", to_json(&sig.to_value()));
+                        writeln!(
+                            out,
+                            "{path}: effects of {name:?}: {}",
+                            to_json(&sig.to_value())
+                        )?;
                     }
                 }
                 if diagnostics.is_empty() {
-                    println!("{path}: clean");
+                    writeln!(out, "{path}: clean")?;
                 }
             }
-            diagnostics.iter().any(|d| d.severity == Severity::Error)
+            Ok(diagnostics.iter().any(|d| d.severity == Severity::Error))
         }
         Outcome::Unreadable(msg) => {
             if opts.json {
@@ -145,11 +162,11 @@ fn print_outcome(path: &str, outcome: &Outcome, opts: Options) -> bool {
                     ("severity", Value::from("error")),
                     ("message", Value::from(msg.as_str())),
                 ]);
-                println!("{}", to_json(&record));
+                writeln!(out, "{}", to_json(&record))?;
             } else {
                 eprintln!("mrom-lint: {path}: {msg}");
             }
-            true
+            Ok(true)
         }
     }
 }

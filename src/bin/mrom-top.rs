@@ -8,7 +8,8 @@
 //!
 //! ```text
 //! mrom-top --snapshot            run the workload, print the metrics table
-//! mrom-top --snapshot --json     same, as pretty JSON (schema mrom.metrics.v1)
+//!                                plus the federation's network totals
+//! mrom-top --snapshot --json     same, as pretty JSON (schema mrom.metrics.v2)
 //! mrom-top --watch [--frames N] [--top K]
 //!                                windowed telemetry frames: top-K hot
 //!                                objects, call matrix, link windows
@@ -18,20 +19,20 @@
 //!                                (--check validates and prints a summary)
 //! ```
 //!
-//! The same counters are reachable *from inside the model*: every object
-//! answers the `getStats` and `getTelemetry` meta-methods, and
-//! `mrom::core::stats_object` materializes a snapshot as an
-//! introspectable read-only object (see `docs/OBSERVABILITY.md`).
+//! The windowed telemetry is also reachable *from inside the model*:
+//! every object answers `getTelemetry` with the whole fold and
+//! `getStats` with its own row of it (see `docs/OBSERVABILITY.md`).
 //!
 //! Exit code 0 on success, 1 on workload failure (including a poisoned
-//! or otherwise unreadable runtime, surfaced as a caught panic), 2 on
-//! usage errors.
+//! or otherwise unreadable runtime, surfaced as a caught panic) or an
+//! unwritable standard output, 2 on usage errors.
 
+use std::io::Write;
 use std::process::ExitCode;
 
 use hadas::{AmbassadorSpec, Federation};
 use mrom::core::{ClassSpec, DataItem, Method, MethodBody};
-use mrom::net::{LinkConfig, NetworkConfig};
+use mrom::net::{LinkConfig, NetStats, NetworkConfig};
 use mrom::obs::{ObsMode, TelemetrySnapshot, WindowConfig};
 use mrom::value::{NodeId, ObjectId, Value};
 
@@ -50,11 +51,11 @@ fn main() -> ExitCode {
         ["trace", "export", "--chrome", "--check"] => cmd_trace_export(true),
         _ => return usage(),
     };
-    match run {
-        Ok(output) => {
-            println!("{output}");
-            ExitCode::SUCCESS
-        }
+    let written = run.and_then(|output| {
+        writeln!(std::io::stdout(), "{output}").map_err(|e| format!("cannot write output: {e}"))
+    });
+    match written {
+        Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("mrom-top: {msg}");
             ExitCode::from(1)
@@ -106,20 +107,24 @@ fn catch_workload<T>(
 }
 
 /// Runs the demo workload under `Full` recording and renders the metrics
-/// snapshot — as a table, or with `--json` as pretty JSON on the stable
-/// `mrom.metrics.v1` schema (split out for testing).
+/// snapshot on the stable `mrom.metrics.v2` schema, with the demo
+/// federation's network totals added as a top-level `net` section — as a
+/// table, or with `--json` as pretty JSON (split out for testing).
 fn cmd_snapshot(json: bool) -> Result<String, String> {
     mrom::obs::reset();
     mrom::obs::set_mode(ObsMode::Full);
     let workload = catch_workload(run_workload);
-    let out = if json {
-        mrom::obs::snapshot_json_pretty()
-    } else {
-        render_table(&mrom::obs::snapshot_value())
-    };
+    let mut snapshot = mrom::obs::snapshot_value();
     mrom::obs::set_mode(ObsMode::Disabled);
-    workload?;
-    Ok(out)
+    let net = workload?;
+    if let Some(m) = snapshot.as_map_mut() {
+        m.insert("net".to_owned(), net.to_value());
+    }
+    Ok(if json {
+        mrom::obs::to_json_pretty(&snapshot)
+    } else {
+        render_table(&snapshot)
+    })
 }
 
 /// Runs the demo workload under `Full` recording and dumps the flight
@@ -283,8 +288,8 @@ fn render_frame(
 
 /// A workload touching every instrumented layer: level-0 dispatch, a
 /// meta-invoke tower, migration, federation traffic, and an ambassador
-/// relay.
-fn run_workload() -> Result<(), String> {
+/// relay. Returns the federation's network totals.
+fn run_workload() -> Result<NetStats, String> {
     let fail = |e: hadas::HadasError| e.to_string();
     let cfg = NetworkConfig::new(42).with_default_link(LinkConfig::lan());
     let mut fed = Federation::new(cfg);
@@ -361,7 +366,7 @@ fn run_workload() -> Result<(), String> {
     let obj = rt.object(agent_id).ok_or("agent did not arrive")?;
     depot.save(&obj).map_err(|e| e.to_string())?;
     depot.restore(agent_id).map_err(|e| e.to_string())?;
-    Ok(())
+    Ok(fed.net_stats().clone())
 }
 
 /// Renders a metrics snapshot value tree as an indented table, eliding
@@ -405,6 +410,9 @@ mod tests {
         assert!(out.contains("invoke:"), "{out}");
         assert!(out.contains("federation:"), "{out}");
         assert!(out.contains("invocations:"), "{out}");
+        // The network section comes from the federation's own NetStats.
+        assert!(out.contains("net:"), "{out}");
+        assert!(!out.contains("delivered: 0\n"), "{out}");
         // The workload performed real work, so counters are nonzero.
         assert!(!out.contains("invocations: 0\n"), "{out}");
     }
@@ -414,9 +422,11 @@ mod tests {
         let out = cmd_snapshot(true).unwrap();
         assert!(out.trim_start().starts_with('{'), "{out}");
         assert!(out.contains("\"schema\""), "{out}");
-        assert!(out.contains("mrom.metrics.v1"), "{out}");
+        assert!(out.contains("mrom.metrics.v2"), "{out}");
         assert!(out.contains("\"metrics\""), "{out}");
         assert!(out.contains("\"federation\""), "{out}");
+        assert!(out.contains("\"bytes_delivered\""), "{out}");
+        assert!(!out.contains("\"objects\""), "{out}");
     }
 
     #[test]

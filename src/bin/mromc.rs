@@ -9,8 +9,10 @@
 //! mromc wire <image>      dump the raw value tree of any wire buffer
 //! ```
 //!
-//! Exit code 0 on success, 1 on bad input, 2 on usage errors.
+//! Exit code 0 on success, 1 on bad input or an unwritable standard
+//! output, 2 on usage errors.
 
+use std::io::Write;
 use std::process::ExitCode;
 
 use mrom::core::{AdmissionPolicy, MromObject};
@@ -36,11 +38,11 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match run {
-        Ok(output) => {
-            println!("{output}");
-            ExitCode::SUCCESS
-        }
+    let written = run.and_then(|output| {
+        writeln!(std::io::stdout(), "{output}").map_err(|e| format!("cannot write output: {e}"))
+    });
+    match written {
+        Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("mromc: {msg}");
             ExitCode::from(1)
