@@ -78,7 +78,7 @@ use crate::object::MromObject;
 /// that whole-table scans (`object_ids`) stay cheap.
 pub const SHARD_COUNT: usize = 16;
 
-/// Structured cause attached to a [`Slot::Poisoned`] entry when a method
+/// Structured cause attached to a poisoned object-table entry when a method
 /// body panics inside a worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoisonCause {

@@ -179,7 +179,6 @@ fn run_inner(cfg: &FleetConfig, seed: u64) -> Result<FleetRun, HadasError> {
         fed.add_site(s)?;
     }
     fed.set_retry_policy(RetryPolicy::standard());
-    fed.set_site_workers(cfg.workers);
     let mut adj: BTreeMap<NodeId, Vec<NodeId>> = sites.iter().map(|&s| (s, Vec::new())).collect();
     for &TopologyEdge { a, b, tier } in &edges {
         fed.net_config_mut().set_symmetric_link(a, b, tier.link());
@@ -283,7 +282,6 @@ fn run_inner(cfg: &FleetConfig, seed: u64) -> Result<FleetRun, HadasError> {
         sites: n as u64,
         objects: total as u64,
         invocations: cfg.invocations as u64,
-        workers: cfg.workers as u64,
         ops_ok: 0,
         ops_failed: 0,
         ops_rejected: 0,

@@ -290,27 +290,7 @@ fn parked_total(fed: &Federation) -> usize {
 /// Setup failures and non-fault protocol errors (a fault-induced
 /// timeout is an expected outcome, not an error).
 pub fn run_scenario(scenario: ChaosScenario, seed: u64) -> Result<ChaosReport, HadasError> {
-    run_scenario_with_site_workers(scenario, seed, 1)
-}
-
-/// The ConcurrentSite harness: [`run_scenario`] with every site draining
-/// its invocation inbox on a `workers`-thread pool (see
-/// [`Federation::set_site_workers`]). `workers == 1` is exactly the
-/// classic single-threaded run. Every fault schedule and every
-/// [`ChaosReport`] invariant is unchanged — concurrency must not weaken
-/// exactly-once delivery, single-copy migration, or recovery.
-///
-/// # Errors
-///
-/// Setup failures and non-fault protocol errors (a fault-induced
-/// timeout is an expected outcome, not an error).
-pub fn run_scenario_with_site_workers(
-    scenario: ChaosScenario,
-    seed: u64,
-    workers: usize,
-) -> Result<ChaosReport, HadasError> {
     let (mut fed, a, b, id) = fixture(seed)?;
-    fed.set_site_workers(workers);
     let mut ops_ok = 0u32;
     let mut ops_failed = 0u32;
 
@@ -463,35 +443,6 @@ mod tests {
             let first = run_scenario(scenario, 7).unwrap();
             let second = run_scenario(scenario, 7).unwrap();
             assert_eq!(first, second, "{} must be deterministic", scenario.name());
-        }
-    }
-
-    #[test]
-    fn concurrent_site_upholds_invariants_on_a_smoke_seed() {
-        for scenario in ChaosScenario::ALL {
-            let report = run_scenario_with_site_workers(scenario, 42, 4).expect("scenario runs");
-            report.assert_invariants();
-        }
-    }
-
-    #[test]
-    fn concurrent_site_is_deterministic_per_seed() {
-        for scenario in [
-            ChaosScenario::LossAndRetry,
-            ChaosScenario::DuplicateDelivery,
-        ] {
-            let first = run_scenario_with_site_workers(scenario, 7, 4).unwrap();
-            let second = run_scenario_with_site_workers(scenario, 7, 4).unwrap();
-            assert_eq!(first, second, "{} must be deterministic", scenario.name());
-        }
-    }
-
-    #[test]
-    fn single_worker_pool_matches_classic_run() {
-        for scenario in ChaosScenario::ALL {
-            let classic = run_scenario(scenario, 11).unwrap();
-            let pooled = run_scenario_with_site_workers(scenario, 11, 1).unwrap();
-            assert_eq!(classic, pooled, "workers=1 is byte-for-byte classic");
         }
     }
 

@@ -57,7 +57,7 @@ pub use ambassador::{
     capability_card, instantiate_ambassador_with_policy, AmbassadorSpec, GuestInfo,
 };
 pub use error::HadasError;
-pub use federation::{ExportPolicy, Federation, InvokeCall, SiteStats};
+pub use federation::{ExportPolicy, Federation, SiteStats};
 pub use ioo::build_ioo;
 pub use protocol::{ProtocolMsg, UpdateOp};
 pub use retry::RetryPolicy;

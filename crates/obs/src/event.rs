@@ -333,30 +333,11 @@ pub struct Event {
     /// Parent span id (0 = root). For a migrated trace's first remote
     /// span this is the dispatching site's span — the causal link.
     pub parent: u64,
-    /// Label of the thread that recorded the event (`None` = unlabeled,
-    /// the single-threaded default). Worker pools label their threads so
-    /// interleaved traces from one site stay attributable.
-    pub thread: Option<std::sync::Arc<str>>,
     /// Virtual time at recording, in microseconds — the simulated
     /// `SimNet` clock (0 until a simulation stamps it). This is the
     /// timestamp the Chrome `trace_event` exporter quotes, so exported
     /// traces of a seeded run are reproducible byte for byte.
     pub at_us: u64,
-}
-
-impl Event {
-    /// Renders the envelope for `trace dump` output.
-    fn fmt_envelope(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "#{:<5} t{:<3} s{:<3} p{:<3}",
-            self.seq, self.trace, self.span, self.parent
-        )?;
-        if let Some(thread) = &self.thread {
-            write!(f, " [{thread}]")?;
-        }
-        Ok(())
-    }
 }
 
 /// A fully rendered event line: envelope plus payload description.
@@ -370,8 +351,16 @@ pub struct TraceEvent {
 
 impl fmt::Display for TraceEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.event.fmt_envelope(f)?;
-        write!(f, " {:<16} ", self.kind.tag())?;
+        let e = &self.event;
+        write!(
+            f,
+            "#{:<5} t{:<3} s{:<3} p{:<3} {:<16} ",
+            e.seq,
+            e.trace,
+            e.span,
+            e.parent,
+            self.kind.tag()
+        )?;
         match &self.kind {
             EventKind::InvokeStart {
                 object,
@@ -514,7 +503,6 @@ mod tests {
                 trace: 1,
                 span: 2,
                 parent: 0,
-                thread: None,
                 at_us: 0,
             },
             kind: EventKind::InvokeStart {

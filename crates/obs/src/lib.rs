@@ -114,19 +114,6 @@ pub fn reset() {
     with_recorder(Recorder::reset);
 }
 
-/// Labels this thread's recorder: every subsequent event carries the
-/// label in its envelope (worker pools use `site-<node>-w<k>`). Pass
-/// `None` to return to the unlabeled single-threaded default.
-pub fn set_thread_label(label: Option<&str>) {
-    with_recorder(|r| r.set_thread_label(label));
-}
-
-/// This thread's recorder label, if any.
-#[must_use]
-pub fn thread_label() -> Option<String> {
-    with_recorder(|r| r.thread_label().map(str::to_owned))
-}
-
 /// Installs (replacing) a custom [`TraceSink`]; returns the previous one.
 pub fn install_sink(sink: Box<dyn TraceSink>) -> Option<Box<dyn TraceSink>> {
     with_recorder(|r| r.install_sink(sink))
@@ -888,24 +875,6 @@ mod tests {
         let row = object_profile(ObjectId::SYSTEM);
         assert_eq!((row.errors, row.latency_p50_ns), (1, 0));
         set_window(None);
-    }
-
-    #[test]
-    fn thread_label_stamps_events() {
-        set_mode(ObsMode::Ring);
-        assert_eq!(thread_label(), None);
-        set_thread_label(Some("site-1-w0"));
-        assert_eq!(thread_label().as_deref(), Some("site-1-w0"));
-        meta_op(ObjectId::SYSTEM, "getClass");
-        set_thread_label(None);
-        meta_op(ObjectId::SYSTEM, "getClass");
-        let ring = ring_snapshot();
-        let labeled = &ring[ring.len() - 2];
-        let unlabeled = &ring[ring.len() - 1];
-        assert_eq!(labeled.event.thread.as_deref(), Some("site-1-w0"));
-        assert!(labeled.to_string().contains("[site-1-w0]"));
-        assert_eq!(unlabeled.event.thread, None);
-        assert!(!unlabeled.to_string().contains('['));
     }
 
     #[test]

@@ -128,11 +128,6 @@ pub struct Recorder {
     log: VecDeque<(NodeId, ObjectId, String)>,
     /// Log lines evicted from the channel since last reset.
     log_evicted: u64,
-    /// Label stamped on every event this recorder emits (`None` =
-    /// unlabeled). Worker-pool threads set this so a site's interleaved
-    /// trace stays attributable per thread. Survives `reset` — it is an
-    /// identity, like the mode, not recorded state.
-    thread_label: Option<std::sync::Arc<str>>,
     /// Virtual clock in microseconds, advanced monotonically by the
     /// network simulator (and `Runtime::set_now`). Stamped on every
     /// event envelope and used to bucket window samples.
@@ -178,22 +173,9 @@ impl Recorder {
             forced_parent: 0,
             log: VecDeque::new(),
             log_evicted: 0,
-            thread_label: None,
             virtual_now_us: 0,
             window: None,
         }
-    }
-
-    /// Labels this recorder's thread: every subsequent event carries the
-    /// label. `None` returns to the unlabeled (single-threaded) default.
-    pub fn set_thread_label(&mut self, label: Option<&str>) {
-        self.thread_label = label.map(std::sync::Arc::from);
-    }
-
-    /// The current thread label, if any.
-    #[must_use]
-    pub fn thread_label(&self) -> Option<&str> {
-        self.thread_label.as_deref()
     }
 
     /// Current mode.
@@ -443,7 +425,6 @@ impl Recorder {
                 trace,
                 span,
                 parent,
-                thread: self.thread_label.clone(),
                 at_us: self.virtual_now_us,
             },
             kind,

@@ -92,7 +92,6 @@ mod tests {
                 trace: 1,
                 span: 0,
                 parent: 0,
-                thread: None,
                 at_us: 0,
             },
             kind: EventKind::ScriptRun {

@@ -46,7 +46,6 @@ mod tests {
                     trace: 0,
                     span: 0,
                     parent: 0,
-                    thread: None,
                     at_us: 0,
                 },
                 kind: EventKind::ScriptRun {

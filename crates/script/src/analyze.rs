@@ -101,7 +101,7 @@ pub enum DiagnosticKind {
     /// The static fuel upper bound exceeds the admission budget.
     FuelBudget,
     /// The compiled bytecode failed independent verification
-    /// ([`crate::verify`]) — the compiled form must not be executed.
+    /// ([`crate::verify`](mod@crate::verify)) — the compiled form must not be executed.
     BytecodeVerify,
 }
 
@@ -300,7 +300,7 @@ pub struct AnalysisReport {
     /// [`Program`] itself and reused by every subsequent VM execution.
     pub precompiled: bool,
     /// True when the compiled form also passed the independent bytecode
-    /// verifier ([`crate::verify`]). Always true for compiler output in
+    /// verifier ([`crate::verify`](mod@crate::verify)). Always true for compiler output in
     /// practice; a `false` here (with a
     /// [`DiagnosticKind::BytecodeVerify`] error) means the compiled form
     /// must not be executed.

@@ -257,7 +257,7 @@ impl CompiledProgram {
     }
 
     /// True for a body with no instructions (never produced by
-    /// [`compile`], which always emits at least a return).
+    /// `compile`, which always emits at least a return).
     pub fn is_empty(&self) -> bool {
         self.instrs.is_empty()
     }

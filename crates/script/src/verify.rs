@@ -7,7 +7,7 @@
 //!
 //! * **Control flow is closed.** Every jump operand (including a
 //!   `for` loop's exhaustion target) lands in bounds *and* on a
-//!   block-leader [`Charge`](crate::compile::Instr::Charge) pc — the
+//!   block-leader `Charge` pc — the
 //!   invariant that makes block pre-charging and the peephole fuser
 //!   sound. No reachable path can fall off the end of the instruction
 //!   array.
