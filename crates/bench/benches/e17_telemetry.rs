@@ -15,9 +15,12 @@
 //! * **full / window on** — adds `Instant` latency sampling into the
 //!   window's latency histogram.
 //!
-//! Two service rows measure the read side: folding the live window into
-//! a `TelemetrySnapshot` and rendering the flight recorder as a Chrome
-//! trace.
+//! Service rows measure the read side: folding the live window into a
+//! `TelemetrySnapshot`, rendering the flight recorder as a Chrome trace,
+//! and, over a 256-site window with populated call matrix and links, one
+//! site's self-view (`site_snapshot_collect`, the `site_telemetry` poll)
+//! beside the whole-federation fold of the same window
+//! (`fleet_snapshot_collect`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -25,7 +28,7 @@ use std::hint::black_box;
 use mrom_bench::{bench_ids, counter_among};
 use mrom_core::{invoke, NoWorld};
 use mrom_obs::{ObsMode, WindowConfig};
-use mrom_value::Value;
+use mrom_value::{NodeId, ObjectId, Value};
 
 fn bench_telemetry_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("e17_telemetry");
@@ -74,6 +77,47 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
         let events = mrom_obs::ring_snapshot();
         group.bench_function("chrome_export", |b| {
             b.iter(|| black_box(mrom_obs::chrome_trace(black_box(&events))));
+        });
+        mrom_obs::set_mode(ObsMode::Disabled);
+        mrom_obs::set_window(None);
+        mrom_obs::reset();
+    }
+
+    // Read side at federation scale: 256 sites on a ring, each hosting
+    // four objects, calling itself and its successor, and delivering
+    // both ways over its two links, in every epoch of the window.
+    {
+        const SITES: u64 = 256;
+        let object = |site: u64, k: u32| ObjectId::from_parts(NodeId(site), k, 0);
+        mrom_obs::reset();
+        mrom_obs::set_window(Some(WindowConfig::DEFAULT));
+        mrom_obs::set_mode(ObsMode::Ring);
+        for epoch in 0..WindowConfig::DEFAULT.epochs as u64 {
+            mrom_obs::set_virtual_now_us(epoch * WindowConfig::DEFAULT.epoch_micros);
+            mrom_obs::with_recorder(|r| {
+                for site in 1..=SITES {
+                    let (here, next) = (NodeId(site), NodeId(site % SITES + 1));
+                    for k in 0..4 {
+                        r.window_invoke(object(site, k), true, 100 + u64::from(k), None);
+                    }
+                    r.window_call(here, here);
+                    r.window_call(here, next);
+                    r.window_link_delivery(here, next, 256, 500 + site);
+                    r.window_link_delivery(next, here, 128, 700 + site);
+                }
+            });
+        }
+        let hosted: Vec<ObjectId> = (0..4).map(|k| object(1, k)).collect();
+        group.bench_function("site_snapshot_collect", |b| {
+            b.iter(|| {
+                black_box(mrom_obs::site_telemetry_snapshot(
+                    black_box(NodeId(1)),
+                    black_box(&hosted),
+                ))
+            });
+        });
+        group.bench_function("fleet_snapshot_collect", |b| {
+            b.iter(|| black_box(mrom_obs::telemetry_snapshot()));
         });
         mrom_obs::set_mode(ObsMode::Disabled);
         mrom_obs::set_window(None);

@@ -306,13 +306,13 @@ impl Runtime {
 
     /// The recording thread's windowed telemetry restricted to this
     /// node: profiles of objects hosted here plus the call-matrix rows
-    /// and links touching this site. The site-wide (unfiltered) view is
-    /// [`mrom_obs::telemetry_snapshot`]; the reflective per-object door
-    /// is the `getTelemetry` meta-method.
+    /// and links touching this site, folded from the window directly
+    /// ([`mrom_obs::site_telemetry_snapshot`]). The site-wide
+    /// (unfiltered) view is [`mrom_obs::telemetry_snapshot`]; the
+    /// reflective per-object door is the `getTelemetry` meta-method.
     #[must_use]
     pub fn telemetry(&self) -> mrom_obs::TelemetrySnapshot {
-        let hosted: std::collections::BTreeSet<ObjectId> = self.object_ids().into_iter().collect();
-        mrom_obs::telemetry_snapshot().for_site(self.node, |id| hosted.contains(&id))
+        mrom_obs::site_telemetry_snapshot(self.node, &self.object_ids())
     }
 
     /// Instantiates a registered class, adopting the object into the node.

@@ -331,16 +331,15 @@ impl Federation {
 
     /// One site's slice of [`Federation::telemetry`]: objects hosted at
     /// `node` right now, plus the call-matrix rows and links touching
-    /// it. This is the federation analogue of `Runtime::telemetry`.
+    /// it. This is the federation analogue of `Runtime::telemetry`, and
+    /// like it folds only the site's rows: hosted objects × epochs plus
+    /// one scan of the window's edges, not the whole federation.
     ///
     /// # Errors
     ///
     /// [`HadasError::UnknownSite`].
     pub fn site_telemetry(&self, node: NodeId) -> Result<mrom_obs::TelemetrySnapshot, HadasError> {
-        let site = self.site(node)?;
-        let hosted: std::collections::BTreeSet<ObjectId> =
-            site.runtime.object_ids().into_iter().collect();
-        Ok(self.telemetry().for_site(node, |id| hosted.contains(&id)))
+        Ok(self.site(node)?.runtime.telemetry())
     }
 
     /// Current virtual time.

@@ -126,6 +126,32 @@ fn federation_snapshot_is_populated_and_site_filtered() {
     });
 }
 
+/// A site's slice is the global snapshot cut down to that site: its
+/// hosted objects' rows, and the call-matrix entries and links with the
+/// site at either end, byte for byte.
+#[test]
+fn site_slice_equals_the_global_snapshot_filtered_to_the_site() {
+    for seed in sweep_seeds() {
+        with_windowed_ring(|| {
+            let fx = run_fixture(seed);
+            let global = fx.fed.telemetry();
+            for node in fx.fed.site_nodes() {
+                let hosted = fx.fed.runtime(node).unwrap().object_ids();
+                let mut expected = global.clone();
+                expected.objects.retain(|id, _| hosted.contains(id));
+                expected.calls.retain(|(s, d), _| *s == node || *d == node);
+                expected.links.retain(|(s, d), _| *s == node || *d == node);
+                assert!(!expected.objects.is_empty(), "seed {seed} {node:?}");
+                assert_eq!(
+                    fx.fed.site_telemetry(node).unwrap().to_json(),
+                    expected.to_json(),
+                    "seed {seed}: {node:?}'s slice must equal the filtered global snapshot"
+                );
+            }
+        });
+    }
+}
+
 #[test]
 fn get_telemetry_meta_method_serves_the_snapshot_as_a_value() {
     with_windowed_ring(|| {

@@ -11,7 +11,8 @@
 //! which links drop — so the answer can be queried both by tools
 //! (`mrom-top`) and through the model itself. Each fact has one owner:
 //! per-object behaviour lives only in the window ([`object_profile`] is
-//! one object's row of [`telemetry_snapshot`]), subsystem totals in
+//! one object's row of [`telemetry_snapshot`], [`site_telemetry_snapshot`]
+//! one site's slice of it), subsystem totals in
 //! [`Metrics`], and network totals in `mrom-net`'s `NetStats`.
 //!
 //! ## Design
@@ -229,6 +230,16 @@ pub fn window_config() -> Option<WindowConfig> {
 #[must_use]
 pub fn telemetry_snapshot() -> TelemetrySnapshot {
     with_recorder(|r| r.telemetry())
+}
+
+/// `node`'s slice of [`telemetry_snapshot`]: the rows of the `hosted`
+/// objects plus the call-matrix entries and links touching `node`,
+/// folded from this thread's window without building the whole snapshot
+/// — the payload behind `Runtime::telemetry()` and
+/// `Federation::site_telemetry`.
+#[must_use]
+pub fn site_telemetry_snapshot(node: NodeId, hosted: &[ObjectId]) -> TelemetrySnapshot {
+    with_recorder(|r| r.site_telemetry(node, hosted))
 }
 
 /// [`telemetry_snapshot`] as a value tree (`mrom.telemetry.v1` schema).

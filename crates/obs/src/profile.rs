@@ -27,7 +27,7 @@ use mrom_value::{NodeId, ObjectId, Value};
 use crate::json::to_json;
 use crate::metrics::Histogram;
 use crate::recorder::ObsMode;
-use crate::window::{ObjectWindowStats, WindowConfig, WindowState};
+use crate::window::{EpochBucket, ObjectWindowStats, WindowConfig, WindowState};
 
 /// The stable schema tag stamped on every snapshot.
 pub const TELEMETRY_SCHEMA: &str = "mrom.telemetry.v1";
@@ -91,13 +91,10 @@ impl ObjectProfile {
     /// object left no sample in it.
     #[must_use]
     pub fn collect(window: Option<&WindowState>, object: ObjectId) -> ObjectProfile {
-        let mut fold = ProfileFold::default();
-        for bucket in window.map(WindowState::live_buckets).unwrap_or_default() {
-            if let Some(s) = bucket.objects.get(&object) {
-                fold.add(s);
-            }
-        }
-        fold.finish()
+        window
+            .and_then(|w| ProfileFold::of(&w.live_buckets(), object))
+            .unwrap_or_default()
+            .finish()
     }
 
     /// The profile as a value tree: one row of the `mrom.telemetry.v1`
@@ -132,7 +129,8 @@ impl ObjectProfile {
 
 /// One object's running fold over epoch buckets: counters add and the
 /// per-bucket histograms merge, so quantiles are read once at the end.
-/// Both the whole-window fold and the single-object row use it.
+/// The whole-window fold, the site slice and the single-object row all
+/// use it.
 #[derive(Default)]
 struct ProfileFold {
     profile: ObjectProfile,
@@ -141,6 +139,17 @@ struct ProfileFold {
 }
 
 impl ProfileFold {
+    /// `object`'s fold over `live` (oldest epoch first, the order the
+    /// whole-window walk adds them in), or `None` when the object left
+    /// no sample there.
+    fn of(live: &[&EpochBucket], object: ObjectId) -> Option<ProfileFold> {
+        let mut fold: Option<ProfileFold> = None;
+        for s in live.iter().filter_map(|b| b.objects.get(&object)) {
+            fold.get_or_insert_with(ProfileFold::default).add(s);
+        }
+        fold
+    }
+
     fn add(&mut self, s: &ObjectWindowStats) {
         let p = &mut self.profile;
         p.invocations += s.invocations;
@@ -227,6 +236,42 @@ impl TelemetrySnapshot {
     /// recorder yields an empty (but schema-complete) snapshot.
     #[must_use]
     pub fn collect(mode: ObsMode, now_us: u64, window: Option<&WindowState>) -> TelemetrySnapshot {
+        TelemetrySnapshot::fold(mode, now_us, window, None)
+    }
+
+    /// One site's slice of [`TelemetrySnapshot::collect`]: the profiles
+    /// of the `hosted` objects that left a sample in the window, plus the
+    /// call-matrix entries and links with `node` at either end. This is
+    /// what `Runtime::telemetry` and `Federation::site_telemetry` serve.
+    ///
+    /// The slice is folded directly rather than cut from the whole
+    /// snapshot: each hosted id is looked up in each live bucket, and the
+    /// edge maps are scanned for `node`'s edges, so the cost is hosted
+    /// objects × epochs plus one scan of the window's edges, whatever the
+    /// number of objects elsewhere in the federation. A duplicate id in
+    /// `hosted` yields one row.
+    #[must_use]
+    pub fn collect_site(
+        mode: ObsMode,
+        now_us: u64,
+        window: Option<&WindowState>,
+        node: NodeId,
+        hosted: &[ObjectId],
+    ) -> TelemetrySnapshot {
+        TelemetrySnapshot::fold(mode, now_us, window, Some((node, hosted)))
+    }
+
+    /// The accumulation behind [`TelemetrySnapshot::collect`] (`site`
+    /// is `None`) and [`TelemetrySnapshot::collect_site`] (`site` names
+    /// the node and its hosted objects). Both run the same per-object
+    /// [`ProfileFold`] over the buckets in the same order and the same
+    /// edge sums, so a slice equals the whole snapshot filtered to it.
+    fn fold(
+        mode: ObsMode,
+        now_us: u64,
+        window: Option<&WindowState>,
+        site: Option<(NodeId, &[ObjectId])>,
+    ) -> TelemetrySnapshot {
         let mut snap = TelemetrySnapshot {
             mode: mode.name(),
             now_us,
@@ -237,16 +282,15 @@ impl TelemetrySnapshot {
         let Some(window) = window else {
             return snap;
         };
-        let mut objects: BTreeMap<ObjectId, ProfileFold> = BTreeMap::new();
+        let live = window.live_buckets();
+        let touches =
+            |(src, dst): (NodeId, NodeId)| site.is_none_or(|(node, _)| src == node || dst == node);
         let mut link_latency: BTreeMap<(NodeId, NodeId), Histogram> = BTreeMap::new();
-        for bucket in window.live_buckets() {
-            for (id, s) in &bucket.objects {
-                objects.entry(*id).or_default().add(s);
-            }
-            for (edge, n) in &bucket.calls {
+        for bucket in &live {
+            for (edge, n) in bucket.calls.iter().filter(|(e, _)| touches(**e)) {
                 *snap.calls.entry(*edge).or_insert(0) += n;
             }
-            for (edge, s) in &bucket.links {
+            for (edge, s) in bucket.links.iter().filter(|(e, _)| touches(**e)) {
                 let p = snap.links.entry(*edge).or_default();
                 p.delivered += s.delivered;
                 p.dropped += s.dropped;
@@ -254,16 +298,30 @@ impl TelemetrySnapshot {
                 link_latency.entry(*edge).or_default().merge(&s.latency_us);
             }
         }
-        snap.objects = objects
-            .into_iter()
-            .map(|(id, fold)| (id, fold.finish()))
-            .collect();
         for (edge, p) in &mut snap.links {
             if let Some(h) = link_latency.get(edge) {
                 p.latency_p50_us = h.quantile(0.50);
                 p.latency_p95_us = h.quantile(0.95);
             }
         }
+        snap.objects = match site {
+            None => {
+                let mut folds: BTreeMap<ObjectId, ProfileFold> = BTreeMap::new();
+                for bucket in &live {
+                    for (id, s) in &bucket.objects {
+                        folds.entry(*id).or_default().add(s);
+                    }
+                }
+                folds
+                    .into_iter()
+                    .map(|(id, fold)| (id, fold.finish()))
+                    .collect()
+            }
+            Some((_, hosted)) => hosted
+                .iter()
+                .filter_map(|id| Some((*id, ProfileFold::of(&live, *id)?.finish())))
+                .collect(),
+        };
         snap
     }
 
@@ -306,21 +364,9 @@ impl TelemetrySnapshot {
             .collect()
     }
 
-    /// Restricts the snapshot to one site: objects passing `hosted`,
-    /// matrix rows and links touching `node`. This is what
-    /// `Federation::site_telemetry` serves.
-    #[must_use]
-    pub fn for_site(&self, node: NodeId, hosted: impl Fn(ObjectId) -> bool) -> TelemetrySnapshot {
-        let mut out = self.clone();
-        out.objects.retain(|id, _| hosted(*id));
-        out.calls.retain(|(s, d), _| *s == node || *d == node);
-        out.links.retain(|(s, d), _| *s == node || *d == node);
-        out
-    }
-
     /// Folds `other` into this snapshot — the fleet-level aggregation
     /// the `mrom-fleet` harness uses to combine per-site slices (from
-    /// [`TelemetrySnapshot::for_site`] or per-process recorders) into
+    /// [`TelemetrySnapshot::collect_site`] or per-process recorders) into
     /// one fleet view.
     ///
     /// Counters (invocations, errors, fuel totals, collisions, call
@@ -532,17 +578,103 @@ mod tests {
         assert!(json.contains("\"now_us\":7"));
     }
 
+    fn slice(w: &WindowState, node: NodeId, hosted: &[ObjectId]) -> TelemetrySnapshot {
+        TelemetrySnapshot::collect_site(ObsMode::Ring, 1100, Some(w), node, hosted)
+    }
+
     #[test]
-    fn for_site_filters_objects_and_edges() {
+    fn collect_site_filters_objects_and_edges() {
         let w = seeded_window();
-        let snap = TelemetrySnapshot::collect(ObsMode::Ring, 1100, Some(&w));
-        let site3 = snap.for_site(NodeId(3), |_| false);
+        let site3 = slice(&w, NodeId(3), &[]);
         assert!(site3.objects.is_empty());
         assert!(site3.calls.is_empty());
         assert!(site3.links.is_empty());
-        let site1 = snap.for_site(NodeId(1), |_| true);
+        let site1 = slice(&w, NodeId(1), &[ObjectId::SYSTEM]);
+        assert_eq!(site1.objects.len(), 1);
         assert_eq!(site1.calls.len(), 1);
         assert_eq!(site1.links.len(), 1);
+    }
+
+    /// Five sites over a 4-epoch ring written at epochs 0-3 and 5-6, so
+    /// epoch 0 is a stale slot the live span (3..=6) must skip. Sites
+    /// 1-4 run traffic around a ring; site 5 runs none. Returns the
+    /// window with each site's hosted list, which names objects that
+    /// left samples, one that never did, and (at site 4) one sampled
+    /// only in the stale epoch.
+    fn multi_site_window() -> (WindowState, Vec<(NodeId, Vec<ObjectId>)>) {
+        let mut w = WindowState::new(WindowConfig::new(1000, 4).with_callers());
+        let obj = |site: u64, k: u32| ObjectId::from_parts(NodeId(site), k, 0);
+        for epoch in [0u64, 1, 2, 3, 5, 6] {
+            let b = w.bucket_at(epoch * 1000 + 10).unwrap();
+            if epoch == 0 {
+                b.objects.entry(obj(4, 9)).or_default().invocations = 1;
+            }
+            for site in 1..=4u64 {
+                let next = NodeId(site % 4 + 1);
+                for k in 1..=3u32 {
+                    if (site + u64::from(k) + epoch) % 3 == 0 {
+                        continue;
+                    }
+                    let s = b.objects.entry(obj(site, k)).or_default();
+                    s.invocations += site + epoch;
+                    s.errors += u64::from(k == 2);
+                    s.fuel.record(10 * epoch + u64::from(k));
+                    s.latency_ns.record(1000 * site);
+                    s.busy_collisions += u64::from(k == 3);
+                    *s.remote_callers.entry(next).or_insert(0) += epoch;
+                }
+                *b.calls.entry((NodeId(site), NodeId(site))).or_insert(0) += epoch + 1;
+                *b.calls.entry((NodeId(site), next)).or_insert(0) += site;
+                let l = b.links.entry((NodeId(site), next)).or_default();
+                l.delivered += epoch + site;
+                l.dropped += epoch % 2;
+                l.bytes += 100 * site;
+                l.latency_us.record(50 * epoch + site);
+            }
+        }
+        let hosted = (1..=5u64)
+            .map(|site| {
+                let mut ids: Vec<ObjectId> = (1..=3).map(|k| obj(site, k)).collect();
+                ids.push(obj(site, 99));
+                if site == 4 {
+                    ids.push(obj(4, 9));
+                }
+                // A repeated id yields one row.
+                ids.push(obj(site, 1));
+                (NodeId(site), ids)
+            })
+            .collect();
+        (w, hosted)
+    }
+
+    #[test]
+    fn collect_site_equals_the_whole_fold_filtered_to_the_site() {
+        let (w, hosted) = multi_site_window();
+        let whole = TelemetrySnapshot::collect(ObsMode::Ring, 6010, Some(&w));
+        assert!(!whole
+            .objects
+            .contains_key(&ObjectId::from_parts(NodeId(4), 9, 0)));
+        for (node, ids) in &hosted {
+            let node = *node;
+            let mut expected = whole.clone();
+            expected.objects.retain(|id, _| ids.contains(id));
+            expected.calls.retain(|(s, d), _| *s == node || *d == node);
+            expected.links.retain(|(s, d), _| *s == node || *d == node);
+            let got = TelemetrySnapshot::collect_site(ObsMode::Ring, 6010, Some(&w), node, ids);
+            assert_eq!(got, expected, "site {node:?}");
+            assert_eq!(got.to_json(), expected.to_json(), "site {node:?}");
+            if node == NodeId(5) {
+                assert!(got.objects.is_empty() && got.calls.is_empty() && got.links.is_empty());
+            } else {
+                assert_eq!(got.objects.len(), 3, "site {node:?}");
+                assert_eq!(got.calls.len(), 3, "site {node:?}");
+                assert_eq!(got.links.len(), 2, "site {node:?}");
+            }
+        }
+        assert_eq!(
+            TelemetrySnapshot::collect_site(ObsMode::Ring, 7, None, NodeId(1), &hosted[0].1),
+            TelemetrySnapshot::collect(ObsMode::Ring, 7, None)
+        );
     }
 
     #[test]
@@ -552,8 +684,8 @@ mod tests {
 
         // A slice of a site the traffic never touched is empty, and
         // folding it in must round-trip the full picture unchanged.
-        let mut folded = snap.for_site(NodeId(1), |_| true);
-        folded.absorb(&snap.for_site(NodeId(3), |_| false));
+        let mut folded = slice(&w, NodeId(1), &[ObjectId::SYSTEM]);
+        folded.absorb(&slice(&w, NodeId(3), &[]));
         assert_eq!(folded.objects, snap.objects);
         assert_eq!(folded.calls, snap.calls);
         assert_eq!(folded.links, snap.links);
@@ -580,9 +712,8 @@ mod tests {
     #[test]
     fn absorb_is_commutative_over_disjoint_slices() {
         let w = seeded_window();
-        let snap = TelemetrySnapshot::collect(ObsMode::Ring, 1100, Some(&w));
-        let a = snap.for_site(NodeId(1), |_| true);
-        let b = snap.for_site(NodeId(3), |_| false);
+        let a = slice(&w, NodeId(1), &[ObjectId::SYSTEM]);
+        let b = slice(&w, NodeId(3), &[]);
         let mut ab = a.clone();
         ab.absorb(&b);
         let mut ba = b.clone();

@@ -295,6 +295,20 @@ impl Recorder {
         TelemetrySnapshot::collect(self.mode, self.virtual_now_us, self.window.as_ref())
     }
 
+    /// `node`'s slice of [`Recorder::telemetry`]: the `hosted` objects'
+    /// rows and the edges touching `node`, folded from the window
+    /// directly (see [`TelemetrySnapshot::collect_site`]).
+    #[must_use]
+    pub fn site_telemetry(&self, node: NodeId, hosted: &[ObjectId]) -> TelemetrySnapshot {
+        TelemetrySnapshot::collect_site(
+            self.mode,
+            self.virtual_now_us,
+            self.window.as_ref(),
+            node,
+            hosted,
+        )
+    }
+
     /// `object`'s row of [`Recorder::telemetry`], folded from that
     /// object's window buckets alone.
     #[must_use]
