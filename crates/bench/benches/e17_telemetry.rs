@@ -15,6 +15,15 @@
 //! * **full / window on** — adds `Instant` latency sampling into the
 //!   window's latency histogram.
 //!
+//! **Runtime rows** price the path a fleet site pays per operation:
+//! `Runtime::invoke` round-robin over 1,024 script counters with
+//! `WindowConfig::DEFAULT`, advancing `Runtime::set_now` by 5 virtual ms
+//! per invoke so an epoch bucket turns over every 200 invokes — the rate
+//! fleet-1k's virtual clock turns them. `runtime_ring_win_turnover`
+//! records in Ring mode (checkout, interned ring events, window rows in
+//! recycled buckets); `runtime_disabled_win_turnover` is the same loop
+//! with recording off.
+//!
 //! Service rows measure the read side: folding the live window into a
 //! `TelemetrySnapshot`, rendering the flight recorder as a Chrome trace,
 //! and, over a 256-site window with populated call matrix and links, one
@@ -25,8 +34,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use mrom_bench::{bench_ids, counter_among};
-use mrom_core::{invoke, NoWorld};
+use mrom_bench::{bench_ids, counter_among, script_counter};
+use mrom_core::{invoke, NoWorld, Runtime};
 use mrom_obs::{ObsMode, WindowConfig};
 use mrom_value::{NodeId, ObjectId, Value};
 
@@ -56,6 +65,39 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
         mrom_obs::set_mode(ObsMode::Disabled);
         mrom_obs::set_window(None);
         mrom_obs::reset();
+    }
+
+    // The runtime path at fleet scale: many objects, and a virtual clock
+    // that turns an epoch bucket every `INVOKES_PER_EPOCH` invokes.
+    {
+        const OBJECTS: usize = 1024;
+        const INVOKES_PER_EPOCH: u64 = 200;
+        let step_ms = WindowConfig::DEFAULT.epoch_micros / 1000 / INVOKES_PER_EPOCH;
+        let rt = Runtime::new(NodeId(0xe17));
+        let mut ids = bench_ids();
+        let targets: Vec<ObjectId> = (0..OBJECTS)
+            .map(|_| rt.adopt(script_counter(&mut ids)).expect("adopts"))
+            .collect();
+        for (label, mode) in [("ring", ObsMode::Ring), ("disabled", ObsMode::Disabled)] {
+            mrom_obs::reset();
+            mrom_obs::set_window(Some(WindowConfig::DEFAULT));
+            mrom_obs::set_mode(mode);
+            let (mut next, mut now_ms) = (0usize, rt.now());
+            group.bench_function(format!("runtime_{label}_win_turnover"), |b| {
+                b.iter(|| {
+                    now_ms += step_ms;
+                    rt.set_now(now_ms);
+                    next = (next + 1) % OBJECTS;
+                    black_box(
+                        rt.invoke_as_system(targets[next], black_box("bump"), &[])
+                            .unwrap(),
+                    )
+                });
+            });
+            mrom_obs::set_mode(ObsMode::Disabled);
+            mrom_obs::set_window(None);
+            mrom_obs::reset();
+        }
     }
 
     // Read side: snapshot folding over a populated window, and the

@@ -58,13 +58,11 @@
 //! can never capture an object mid-execution: the image is taken either
 //! before checkout or after checkin, never in between.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
-
-use mrom_script::EffectSignature;
+use std::sync::{Mutex, RwLock, RwLockReadGuard};
 
 use mrom_value::{AtomicIdGenerator, NodeId, ObjectId, Value};
 
@@ -104,25 +102,15 @@ impl std::fmt::Display for PoisonCause {
 enum Slot {
     /// Hosted and at rest — available for checkout, reads, and eviction.
     Present(MromObject),
-    /// Checked out by an in-flight invocation. When observability is
-    /// enabled the slot remembers what is running ([`BusyInfo`]) so a
-    /// colliding checkout can classify the collision by effect-signature
-    /// disjointness; otherwise it carries nothing.
-    Busy(Option<BusyInfo>),
+    /// Checked out by an in-flight invocation. A checkout stores nothing
+    /// here (an empty `Vec` does not allocate); while observability is
+    /// enabled, each caller that collides with the holder appends its
+    /// incoming selector, and the holder classifies those collisions by
+    /// effect-signature disjointness when it checks the object back in.
+    Busy(Vec<String>),
     /// A body panicked while the object was checked out; the (possibly
     /// torn) object was discarded, the identity and cause retained.
     Poisoned(PoisonCause),
-}
-
-/// What a `Busy` slot knows about its in-flight invocation (recorded
-/// only while observability is enabled — the disabled hot path never
-/// clones a method name or touches the effect table).
-#[derive(Debug)]
-struct BusyInfo {
-    /// Selector of the invocation that holds the object.
-    method: String,
-    /// The object's memoized effect-signature table at checkout time.
-    effects: Arc<BTreeMap<String, EffectSignature>>,
 }
 
 type Shard = HashMap<ObjectId, Slot>;
@@ -466,7 +454,7 @@ impl Runtime {
         args: &[Value],
     ) -> Result<Value, MromError> {
         mrom_obs::runtime_invoke(self.node, target, method);
-        let mut obj = self.checkout_as(target, Some(method))?;
+        let mut obj = self.checkout(target, method)?;
         let limits = self.limits();
         let mut world = RuntimeWorld { rt: self };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -474,20 +462,17 @@ impl Runtime {
         }));
         match outcome {
             Ok(result) => {
-                self.checkin(obj);
+                self.checkin(obj, method, None);
                 result
             }
             Err(payload) => {
                 // The object may be torn mid-mutation: discard it and
                 // poison the slot so the identity does not vanish.
-                drop(obj);
-                self.poison(
-                    target,
-                    PoisonCause {
-                        method: method.to_owned(),
-                        message: panic_message(payload.as_ref()),
-                    },
-                );
+                let cause = PoisonCause {
+                    method: method.to_owned(),
+                    message: panic_message(payload.as_ref()),
+                };
+                self.checkin(obj, method, Some(cause));
                 Err(MromError::ObjectBusy(target))
             }
         }
@@ -508,59 +493,23 @@ impl Runtime {
         self.invoke(ObjectId::SYSTEM, target, method, args)
     }
 
-    /// Checks `target` out: flips its slot from `Present` to `Busy` under
-    /// the shard write lock and returns the object. When
-    /// observability is enabled and `incoming` names the method about to
-    /// run, the `Busy` slot remembers it together with the object's
-    /// memoized effect-signature table, and a *colliding* checkout
-    /// classifies the collision — provably-disjoint signatures mean the
-    /// serialization was a conservative loss, overlapping ones mean it
-    /// was required — feeding the runtime disjointness counters.
-    fn checkout_as(
-        &self,
-        target: ObjectId,
-        incoming: Option<&str>,
-    ) -> Result<MromObject, MromError> {
-        let obs = mrom_obs::enabled();
+    /// Checks `target` out for a call of `incoming`: flips its slot from
+    /// `Present` to `Busy` under the shard write lock and returns the
+    /// object. A checkout records nothing. When the slot is already
+    /// `Busy` and observability is enabled, the refused caller appends
+    /// `incoming` to it, for the holder to classify at check-in.
+    fn checkout(&self, target: ObjectId, incoming: &str) -> Result<MromObject, MromError> {
         let mut shard = write(self.shard_of(target));
         match shard.get_mut(&target) {
-            Some(slot @ Slot::Present(_)) => match std::mem::replace(slot, Slot::Busy(None)) {
-                Slot::Present(mut obj) => {
-                    if obs {
-                        if let Some(method) = incoming {
-                            *slot = Slot::Busy(Some(BusyInfo {
-                                method: method.to_owned(),
-                                effects: obj.effects(),
-                            }));
-                        }
-                    }
-                    Ok(obj)
+            Some(slot @ Slot::Present(_)) => {
+                match std::mem::replace(slot, Slot::Busy(Vec::new())) {
+                    Slot::Present(obj) => Ok(obj),
+                    _ => unreachable!("matched Present above"),
                 }
-                _ => unreachable!("matched Present above"),
-            },
-            Some(Slot::Busy(info)) => {
-                if obs {
-                    let (in_flight, disjoint) = match (info.as_ref(), incoming) {
-                        (Some(i), Some(m)) => {
-                            let verdict = match (i.effects.get(i.method.as_str()), i.effects.get(m))
-                            {
-                                (Some(a), Some(b)) => {
-                                    Some(crate::effects::signatures_disjoint(a, b))
-                                }
-                                _ => None,
-                            };
-                            (i.method.as_str(), verdict)
-                        }
-                        (Some(i), None) => (i.method.as_str(), None),
-                        (None, _) => ("", None),
-                    };
-                    mrom_obs::shared_collision(
-                        self.node,
-                        target,
-                        in_flight,
-                        incoming.unwrap_or(""),
-                        disjoint,
-                    );
+            }
+            Some(Slot::Busy(refused)) => {
+                if mrom_obs::enabled() {
+                    refused.push(incoming.to_owned());
                 }
                 Err(MromError::ObjectBusy(target))
             }
@@ -569,15 +518,37 @@ impl Runtime {
         }
     }
 
-    /// Checks an object back in after its invocation completed.
-    fn checkin(&self, obj: MromObject) {
+    /// Returns an object checked out for `method` to its slot: `Present`
+    /// after the call completed, or `Poisoned` with `poisoned` as the
+    /// cause (the object is then dropped).
+    ///
+    /// Callers refused while `method` held the object are classified
+    /// here, because only the holder has both the object and its own
+    /// selector: provably-disjoint effect signatures mean the
+    /// serialization was a conservative loss, overlapping ones that it
+    /// was required. So the effect table is solved only when a collision
+    /// happened, and each one feeds the runtime disjointness counters and
+    /// a `shared_collision` event.
+    fn checkin(&self, mut obj: MromObject, method: &str, poisoned: Option<PoisonCause>) {
         let id = obj.id();
-        write(self.shard_of(id)).insert(id, Slot::Present(obj));
-    }
-
-    /// Marks a checked-out identity as poisoned.
-    fn poison(&self, id: ObjectId, cause: PoisonCause) {
-        write(self.shard_of(id)).insert(id, Slot::Poisoned(cause));
+        let mut shard = write(self.shard_of(id));
+        let slot = shard.entry(id).or_insert_with(|| Slot::Busy(Vec::new()));
+        if let Slot::Busy(refused) = slot {
+            if !refused.is_empty() && mrom_obs::enabled() {
+                let effects = obj.effects();
+                for incoming in refused.drain(..) {
+                    let disjoint = match (effects.get(method), effects.get(incoming.as_str())) {
+                        (Some(a), Some(b)) => Some(crate::effects::signatures_disjoint(a, b)),
+                        _ => None,
+                    };
+                    mrom_obs::shared_collision(self.node, id, method, &incoming, disjoint);
+                }
+            }
+        }
+        *slot = match poisoned {
+            None => Slot::Present(obj),
+            Some(cause) => Slot::Poisoned(cause),
+        };
     }
 
     fn shard_of(&self, id: ObjectId) -> &RwLock<Shard> {
@@ -782,11 +753,11 @@ mod tests {
         // A native method that tries to evict... is not expressible from
         // scripts; simulate by poking the slot machinery directly.
         let id = rt.create("counter").unwrap();
-        let obj = rt.checkout_as(id, None).unwrap();
+        let obj = rt.checkout(id, "add").unwrap();
         assert!(matches!(rt.evict(id), Err(MromError::ObjectBusy(_))));
         assert!(rt.object(id).is_none(), "busy slot is not readable");
         assert_eq!(rt.object_count(), 1, "busy slot still counts as hosted");
-        rt.checkin(obj);
+        rt.checkin(obj, "add", None);
         assert!(rt.evict(id).is_ok());
     }
 

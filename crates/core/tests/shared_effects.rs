@@ -101,3 +101,19 @@ fn disabled_recorder_records_no_collision_state() {
     // The object itself still works normally afterwards.
     assert_eq!(rt.invoke_as_system(id, "peek", &[]).unwrap(), Value::Int(0));
 }
+
+#[test]
+fn a_checkout_that_never_collides_solves_no_effects() {
+    mrom_obs::reset();
+    mrom_obs::set_mode(ObsMode::Ring);
+    let rt = Runtime::new(NodeId(79));
+    rt.with_classes_mut(|reg| reg.register(cyclic_class()))
+        .unwrap();
+    let id = rt.create("cyclic").unwrap();
+    assert_eq!(rt.invoke_as_system(id, "peek", &[]).unwrap(), Value::Int(0));
+    mrom_obs::set_mode(ObsMode::Disabled);
+    assert_eq!(mrom_obs::metrics_snapshot().shared.busy_collisions, 0);
+    // Only a collision makes the holder solve its effect table.
+    let obj = rt.object(id).unwrap();
+    assert!(obj.effects_if_cached().is_none());
+}

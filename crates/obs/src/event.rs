@@ -7,6 +7,7 @@
 //! it is recorded, which is how nested meta-levels produce nested spans.
 
 use std::fmt;
+use std::sync::Arc;
 
 use mrom_value::{NodeId, ObjectId};
 
@@ -35,7 +36,10 @@ impl WrapStage {
 /// Field conventions: `object` is the receiver the event concerns,
 /// `method` is the *selector as invoked* (a meta-level sees the base
 /// method's name in its arguments, not here), and byte counts are wire
-/// sizes after encoding.
+/// sizes after encoding. Selector fields on the per-invocation kinds are
+/// `Arc<str>` handed out by the recorder's bounded name interner, so
+/// recording one is a reference-count bump rather than a copy; the rare
+/// `SharedCollision` keeps owned `String`s.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
     /// An invocation entered the Apply machinery (one per tower level).
@@ -43,7 +47,7 @@ pub enum EventKind {
         /// Receiver of the invocation.
         object: ObjectId,
         /// Selector being invoked at this level.
-        method: String,
+        method: Arc<str>,
         /// Identity the ACL check will run against.
         caller: ObjectId,
         /// Tower level this application runs at (0 = base level).
@@ -54,7 +58,7 @@ pub enum EventKind {
         /// Receiver of the invocation.
         object: ObjectId,
         /// Selector that was invoked.
-        method: String,
+        method: Arc<str>,
         /// `"ok"` or the error's stable label.
         outcome: &'static str,
         /// Fuel consumed between start and end (includes nested calls).
@@ -65,7 +69,7 @@ pub enum EventKind {
         /// Receiver searched.
         object: ObjectId,
         /// Selector searched for.
-        method: String,
+        method: Arc<str>,
         /// Whether the generation-stamped dispatch cache answered.
         cache_hit: bool,
         /// Whether a method was found at all.
@@ -76,7 +80,7 @@ pub enum EventKind {
         /// Receiver whose item was guarded.
         object: ObjectId,
         /// Selector whose `invoke_acl` was consulted.
-        method: String,
+        method: Arc<str>,
         /// Identity that asked.
         caller: ObjectId,
         /// The verdict.
@@ -87,7 +91,7 @@ pub enum EventKind {
         /// Receiver of the wrapped invocation.
         object: ObjectId,
         /// Selector whose wrap ran.
-        method: String,
+        method: Arc<str>,
         /// Which wrap stage.
         stage: WrapStage,
         /// Truthy verdict lets the invocation proceed / commit.
@@ -107,7 +111,7 @@ pub enum EventKind {
         /// The level being entered (topmost = tower length).
         level: u32,
         /// Name of the meta-invoke method at that level.
-        meta: String,
+        meta: Arc<str>,
     },
     /// A script body finished executing.
     ScriptRun {
@@ -123,7 +127,7 @@ pub enum EventKind {
         /// Target object.
         target: ObjectId,
         /// Selector.
-        method: String,
+        method: Arc<str>,
     },
     /// A `log` world-call from an executing object.
     Log {
@@ -215,7 +219,7 @@ pub enum EventKind {
         /// The ambassador object.
         object: ObjectId,
         /// Selector relayed.
-        method: String,
+        method: Arc<str>,
     },
     /// A whole object left its site for another.
     ObjectDispatched {

@@ -50,6 +50,7 @@
 
 mod event;
 mod export;
+mod intern;
 mod json;
 mod metrics;
 mod profile;
@@ -69,7 +70,10 @@ pub use profile::{LinkProfile, ObjectProfile, TelemetrySnapshot, TELEMETRY_SCHEM
 pub use recorder::{ObsMode, Recorder, SpanHandle, LOG_CHANNEL_CAPACITY};
 pub use ring::{FlightRecorder, DEFAULT_RING_CAPACITY};
 pub use sink::{TraceSink, VecSink};
-pub use window::{EpochBucket, LinkWindowStats, ObjectWindowStats, WindowConfig, WindowState};
+pub use window::{
+    DenseEntry, DenseMap, EpochBucket, LinkWindowStats, ObjectWindowStats, WindowConfig,
+    WindowState,
+};
 
 use std::cell::{Cell, RefCell};
 
@@ -311,9 +315,10 @@ pub fn invoke_start(object: ObjectId, method: &str, caller: ObjectId, level: u32
         let m = r.metrics_mut();
         m.invoke.invocations += 1;
         m.invoke.max_tower_depth = m.invoke.max_tower_depth.max(u64::from(level));
+        let method = r.intern(method);
         r.open_span(EventKind::InvokeStart {
             object,
-            method: method.to_owned(),
+            method,
             caller,
             level,
         })
@@ -346,11 +351,12 @@ pub fn invoke_end(
             m.invoke.errors += 1;
         }
         r.window_invoke(object, ok, fuel_used, latency_ns);
+        let method = r.intern(method);
         r.close_span(
             handle,
             EventKind::InvokeEnd {
                 object,
-                method: method.to_owned(),
+                method,
                 outcome,
                 fuel_used,
             },
@@ -370,9 +376,10 @@ pub fn lookup(object: ObjectId, method: &str, cache_hit: bool, found: bool) {
         } else {
             r.metrics_mut().invoke.cache_misses += 1;
         }
+        let method = r.intern(method);
         r.record(EventKind::Lookup {
             object,
-            method: method.to_owned(),
+            method,
             cache_hit,
             found,
         });
@@ -392,9 +399,10 @@ pub fn acl_decision(object: ObjectId, method: &str, caller: ObjectId, allowed: b
         } else {
             m.invoke.acl_denied += 1;
         }
+        let method = r.intern(method);
         r.record(EventKind::AclDecision {
             object,
-            method: method.to_owned(),
+            method,
             caller,
             allowed,
         });
@@ -415,9 +423,10 @@ pub fn wrap_verdict(object: ObjectId, method: &str, stage: WrapStage, passed: bo
             (WrapStage::Post, true) => m.invoke.post_pass += 1,
             (WrapStage::Post, false) => m.invoke.post_veto += 1,
         }
+        let method = r.intern(method);
         r.record(EventKind::WrapVerdict {
             object,
-            method: method.to_owned(),
+            method,
             stage,
             passed,
         });
@@ -446,10 +455,11 @@ pub fn tower_descend(object: ObjectId, level: u32, meta: &str) {
         let m = r.metrics_mut();
         m.invoke.tower_descents += 1;
         m.invoke.max_tower_depth = m.invoke.max_tower_depth.max(u64::from(level));
+        let meta = r.intern(meta);
         r.record(EventKind::TowerDescend {
             object,
             level,
-            meta: meta.to_owned(),
+            meta,
         });
     });
 }
@@ -530,10 +540,11 @@ pub fn runtime_invoke(node: NodeId, target: ObjectId, method: &str) {
         // Call-matrix diagonal: an invocation executed *at* this site
         // (local and remotely-requested dispatches alike).
         r.window_call(node, node);
+        let method = r.intern(method);
         r.record(EventKind::RuntimeInvoke {
             node,
             target,
-            method: method.to_owned(),
+            method,
         });
     });
 }
@@ -729,10 +740,11 @@ pub fn ambassador_relay(host: NodeId, object: ObjectId, method: &str) {
     }
     with_recorder(|r| {
         r.metrics_mut().federation.ambassador_relays += 1;
+        let method = r.intern(method);
         r.record(EventKind::AmbassadorRelay {
             host,
             object,
-            method: method.to_owned(),
+            method,
         });
     });
 }
@@ -886,6 +898,30 @@ mod tests {
         let row = object_profile(ObjectId::SYSTEM);
         assert_eq!((row.errors, row.latency_p50_ns), (1, 0));
         set_window(None);
+    }
+
+    #[test]
+    fn ring_events_share_one_name_allocation_per_selector() {
+        set_mode(ObsMode::Ring);
+        let span = invoke_start(ObjectId::SYSTEM, "greet", ObjectId::SYSTEM, 0);
+        lookup(ObjectId::SYSTEM, "greet", true, true);
+        invoke_end(span, ObjectId::SYSTEM, "greet", "ok", 3);
+        let ring = ring_snapshot();
+        let names: Vec<&std::sync::Arc<str>> = ring
+            .iter()
+            .filter_map(|te| match &te.kind {
+                EventKind::InvokeStart { method, .. }
+                | EventKind::Lookup { method, .. }
+                | EventKind::InvokeEnd { method, .. } => Some(method),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(names.len(), 3);
+        assert_eq!(&**names[0], "greet");
+        assert!(names
+            .iter()
+            .all(|name| std::sync::Arc::ptr_eq(name, names[0])));
+        set_mode(ObsMode::Disabled);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use mrom_value::{NodeId, ObjectId, Value};
 use crate::json::to_json;
 use crate::metrics::Histogram;
 use crate::recorder::ObsMode;
-use crate::window::{EpochBucket, ObjectWindowStats, WindowConfig, WindowState};
+use crate::window::{DenseMap, EpochBucket, ObjectWindowStats, WindowConfig, WindowState};
 
 /// The stable schema tag stamped on every snapshot.
 pub const TELEMETRY_SCHEMA: &str = "mrom.telemetry.v1";
@@ -285,30 +285,41 @@ impl TelemetrySnapshot {
         let live = window.live_buckets();
         let touches =
             |(src, dst): (NodeId, NodeId)| site.is_none_or(|(node, _)| src == node || dst == node);
-        let mut link_latency: BTreeMap<(NodeId, NodeId), Histogram> = BTreeMap::new();
+        // Accumulate in hash-indexed dense maps, then sort once into the
+        // snapshot's `BTreeMap`s: the buckets' row order is arbitrary, and
+        // inserting out of order into a `BTreeMap` of wide values shifts
+        // them around on every insert.
+        let mut calls: DenseMap<(NodeId, NodeId), u64> = DenseMap::default();
+        let mut links: DenseMap<(NodeId, NodeId), (LinkProfile, Histogram)> = DenseMap::default();
         for bucket in &live {
             for (edge, n) in bucket.calls.iter().filter(|(e, _)| touches(**e)) {
-                *snap.calls.entry(*edge).or_insert(0) += n;
+                *calls.entry(*edge).or_insert(0) += n;
             }
             for (edge, s) in bucket.links.iter().filter(|(e, _)| touches(**e)) {
-                let p = snap.links.entry(*edge).or_default();
+                let (p, latency_us) = links.entry(*edge).or_default();
                 p.delivered += s.delivered;
                 p.dropped += s.dropped;
                 p.bytes += s.bytes;
-                link_latency.entry(*edge).or_default().merge(&s.latency_us);
+                latency_us.merge(&s.latency_us);
             }
         }
-        for (edge, p) in &mut snap.links {
-            if let Some(h) = link_latency.get(edge) {
-                p.latency_p50_us = h.quantile(0.50);
-                p.latency_p95_us = h.quantile(0.95);
-            }
-        }
+        snap.calls = calls.into_iter().collect();
+        snap.links = links
+            .into_iter()
+            .map(|(edge, (p, latency_us))| {
+                let p = LinkProfile {
+                    latency_p50_us: latency_us.quantile(0.50),
+                    latency_p95_us: latency_us.quantile(0.95),
+                    ..p
+                };
+                (edge, p)
+            })
+            .collect();
         snap.objects = match site {
             None => {
-                let mut folds: BTreeMap<ObjectId, ProfileFold> = BTreeMap::new();
+                let mut folds: DenseMap<ObjectId, ProfileFold> = DenseMap::default();
                 for bucket in &live {
-                    for (id, s) in &bucket.objects {
+                    for (id, s) in bucket.objects.iter() {
                         folds.entry(*id).or_default().add(s);
                     }
                 }

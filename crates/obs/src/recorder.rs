@@ -21,11 +21,13 @@
 //! switch.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::Instant;
 
 use mrom_value::{NodeId, ObjectId};
 
 use crate::event::{Event, EventKind, TraceEvent};
+use crate::intern::NameInterner;
 use crate::metrics::Metrics;
 use crate::profile::{ObjectProfile, TelemetrySnapshot};
 use crate::ring::{FlightRecorder, DEFAULT_RING_CAPACITY};
@@ -109,6 +111,8 @@ pub struct Recorder {
     mode: ObsMode,
     ring: FlightRecorder,
     extra_sink: Option<Box<dyn TraceSink>>,
+    /// Shared `Arc<str>` per selector, for the name fields of events.
+    names: NameInterner,
     metrics: Metrics,
     /// Total events recorded since last reset — the counter the
     /// zero-overhead test asserts against.
@@ -162,6 +166,7 @@ impl Recorder {
             mode: ObsMode::Disabled,
             ring: FlightRecorder::with_capacity(DEFAULT_RING_CAPACITY),
             extra_sink: None,
+            names: NameInterner::default(),
             metrics: Metrics::default(),
             events_recorded: 0,
             seq: 0,
@@ -193,6 +198,7 @@ impl Recorder {
     /// mode is preserved.
     pub fn reset(&mut self) {
         self.ring.clear();
+        self.names.clear();
         self.metrics = Metrics::default();
         self.events_recorded = 0;
         self.seq = 0;
@@ -432,6 +438,13 @@ impl Recorder {
 
     // ----- recording -----------------------------------------------------
 
+    /// The recorder's shared `Arc<str>` for `name` — what the name fields
+    /// of [`EventKind`] carry. Interned up to a fixed number of distinct
+    /// names; past that each call returns a fresh `Arc`.
+    pub(crate) fn intern(&mut self, name: &str) -> Arc<str> {
+        self.names.intern(name)
+    }
+
     fn emit(&mut self, trace: u64, span: u64, parent: u64, kind: EventKind) {
         let te = TraceEvent {
             event: Event {
@@ -445,10 +458,11 @@ impl Recorder {
         };
         self.seq += 1;
         self.events_recorded += 1;
-        self.ring.record(&te);
+        // The sink borrows the event; the ring then takes it by move.
         if let Some(sink) = self.extra_sink.as_mut() {
             sink.record(&te);
         }
+        self.ring.push(te);
     }
 
     /// Records a point event attributed to the innermost open span.
@@ -553,20 +567,22 @@ mod tests {
     use super::*;
 
     fn start(r: &mut Recorder, method: &str, level: u32) -> SpanHandle {
+        let method = r.intern(method);
         r.open_span(EventKind::InvokeStart {
             object: ObjectId::SYSTEM,
-            method: method.to_owned(),
+            method,
             caller: ObjectId::SYSTEM,
             level,
         })
     }
 
     fn end(r: &mut Recorder, handle: SpanHandle) {
+        let method = r.intern("m");
         r.close_span(
             handle,
             EventKind::InvokeEnd {
                 object: ObjectId::SYSTEM,
-                method: "m".to_owned(),
+                method,
                 outcome: "ok",
                 fuel_used: 0,
             },

@@ -63,6 +63,15 @@ impl FlightRecorder {
         self.overwritten = 0;
     }
 
+    /// Appends `event`, evicting the oldest one when the ring is full.
+    pub fn push(&mut self, event: TraceEvent) {
+        if self.buf.len() == self.capacity {
+            self.buf.pop_front();
+            self.overwritten += 1;
+        }
+        self.buf.push_back(event);
+    }
+
     /// Copies out the retained events, oldest first.
     #[must_use]
     pub fn snapshot(&self) -> Vec<TraceEvent> {
@@ -72,11 +81,7 @@ impl FlightRecorder {
 
 impl TraceSink for FlightRecorder {
     fn record(&mut self, event: &TraceEvent) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.overwritten += 1;
-        }
-        self.buf.push_back(event.clone());
+        self.push(event.clone());
     }
 }
 
